@@ -122,112 +122,3 @@ from .variety import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "INF",
-    "Mat2",
-    "cf_matrix",
-    "continuant",
-    "continuant_matrix",
-    "convergents",
-    "finite_cf_value",
-    "ELLIPTIC",
-    "IDENTITY_MULTIPLE",
-    "INEQ",
-    "LOXODROMIC",
-    "PARABOLIC",
-    "MobiusClassification",
-    "RateResult",
-    "Verdict",
-    "classify_mobius",
-    "ineq_check",
-    "rate",
-    "verdict",
-    "Interval",
-    "decimal_str",
-    "elem_interval",
-    "interval_decimal_str",
-    "log10_interval",
-    "sqrt_interval",
-    "value_interval",
-    "IdentityMultipleError",
-    "Pcf",
-    "QuadPoly",
-    "RootPair",
-    "dual",
-    "e_matrix",
-    "e_matrix_continuant_form",
-    "extend_type",
-    "g_multiplier",
-    "quad_poly",
-    "quad_poly_of_matrix",
-    "quad_roots",
-    "roots",
-    "ExtElem",
-    "RingElem",
-    "conjugate",
-    "ext_conj",
-    "ext_norm",
-    "format_elem",
-    "norm",
-    "parse_elem",
-    "residue_class",
-    "root",
-    "sign_under_embedding",
-    "sqrt_in_ring",
-    "unit_power",
-    "val2",
-    "TableName",
-    "TableReport",
-    "box_search",
-    "int_range",
-    "ljunggren_oracle",
-    "load_table",
-    "quartic_y1_scan",
-    "reproduce_table",
-    "solve_e_curve",
-    "unit_divisor_enum",
-    "zw_box",
-    "SkolemContext",
-    "addax_check",
-    "aprime_z_table",
-    "context_l1",
-    "context_l2",
-    "format_aprime_table",
-    "l2_scan",
-    "nz",
-    "oryx_check",
-    "power_coeffs",
-    "rst",
-    "rst_table",
-    "z_of_j",
-    "SmallTypeSolution",
-    "TargetRoots",
-    "VarietyPoint",
-    "corr03_12",
-    "corr12_03",
-    "curve12_point",
-    "curve12_residual",
-    "curve21_quartic",
-    "curve21_residual",
-    "curve_x3_minus_4x",
-    "curve_x3_minus_x",
-    "curve_x_x2_xm1",
-    "e_curve_residual",
-    "family_orbit",
-    "fp_conic_residual",
-    "fp_project",
-    "is_member",
-    "lift03",
-    "lift12_from_E",
-    "param03",
-    "param03_sqrt2",
-    "pcf_of_e_point",
-    "plane03_residual",
-    "reduce12_to_E",
-    "solve_small_type",
-    "variety_residuals",
-    "verify_curve_points",
-    "vnk_residuals",
-    "__version__",
-]

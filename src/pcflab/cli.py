@@ -27,6 +27,7 @@ from .ring import (
     parse_elem,
     sign_under_embedding,
     sqrt_in_ring,
+    squarefree,
 )
 from .search import TableName, ljunggren_oracle, reproduce_table, solve_e_curve
 from .skolem import aprime_z_table, format_aprime_table, l2_scan, oryx_check, rst_table
@@ -43,42 +44,30 @@ MATH_NEGATIVE = 1
 USAGE_ERROR = 2
 
 
-def _is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    n = abs(n)
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 1
-    return True
-
-
 @dataclass
 class CliConfig:
     """Knobs shared by every subcommand."""
 
     d: int = 2
     precision: int = 50
-    kmax: int = 20
-    box: int = 5
-    ljunggren: int = 1000
-    jmax: int = 30
     format: str = "text"
 
     def __post_init__(self):
-        if not _is_squarefree(self.d):
-            raise ValueError(f"ambient discriminant {self.d} is not squarefree")
-        for label in ("precision", "kmax", "box", "ljunggren", "jmax"):
-            if getattr(self, label) <= 0:
-                raise ValueError(f"{label} must be positive")
+        if not squarefree(self.d):
+            raise ValueError(f"ambient discriminant {self.d} must be squarefree and >= 2")
+        if self.precision <= 0:
+            raise ValueError("precision must be positive")
         if self.format not in ("text", "json-lines"):
             raise ValueError(f"unknown output format {self.format!r}")
 
 
 def _print_record(record: dict):
     print(json.dumps(record, sort_keys=True))
+
+
+def _require_d2(cfg: CliConfig, command: str):
+    if cfg.d != 2:
+        raise ValueError(f"{command} works over Z[sqrt(2)] only; drop --d {cfg.d}")
 
 
 def _ring_form(e: ExtElem, d: int) -> Optional[RingElem]:
@@ -260,6 +249,7 @@ def _entry_record(entry, status: str) -> dict:
 
 
 def cmd_search_table(args, cfg: CliConfig) -> int:
+    _require_d2(cfg, "search table")
     try:
         name = TableName(args.name)
     except ValueError:
@@ -277,10 +267,9 @@ def cmd_search_table(args, cfg: CliConfig) -> int:
 
 
 def cmd_search_ljunggren(args, cfg: CliConfig) -> int:
-    bound = args.bound if args.bound is not None else cfg.ljunggren
-    if bound <= 0:
+    if args.bound <= 0:
         raise ValueError("bound must be positive")
-    sols = ljunggren_oracle(bound)
+    sols = ljunggren_oracle(args.bound)
     if cfg.format == "json-lines":
         for x, y in sols:
             _print_record(
@@ -294,16 +283,16 @@ def cmd_search_ljunggren(args, cfg: CliConfig) -> int:
     else:
         for x, y in sols:
             print(f"({x}, {y})")
-        print(f"{len(sols)} solutions with |y| <= {bound}")
+        print(f"{len(sols)} solutions with |y| <= {args.bound}")
     return 0
 
 
 def cmd_search_ecurve(args, cfg: CliConfig) -> int:
+    _require_d2(cfg, "search ecurve")
     pi = parse_elem(args.pi, cfg.d)
-    kmax = args.kmax if args.kmax is not None else cfg.kmax
-    if kmax <= 0:
+    if args.kmax <= 0:
         raise ValueError("kmax must be positive")
-    pts = solve_e_curve(pi, kmax)
+    pts = solve_e_curve(pi, args.kmax)
     if cfg.format == "json-lines":
         for a, b in pts:
             _print_record(
@@ -317,11 +306,12 @@ def cmd_search_ecurve(args, cfg: CliConfig) -> int:
     else:
         for a, b in pts:
             print(f"({format_elem(a)}, {format_elem(b)})")
-        print(f"{len(pts)} points with unit-scan exponent up to {kmax}")
+        print(f"{len(pts)} points with unit-scan exponent up to {args.kmax}")
     return 0
 
 
 def cmd_skolem(args, cfg: CliConfig) -> int:
+    _require_d2(cfg, "skolem")
     if args.report == "rst":
         print(rst_table(args.nmax))
         return 0
@@ -342,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pcflab",
         description="Exact arithmetic for periodic continued fractions over quadratic rings.",
     )
-    parser.add_argument("--d", type=int, default=2, help="squarefree ambient discriminant")
+    parser.add_argument("--d", type=int, default=2, help="squarefree ambient discriminant >= 2")
     parser.add_argument(
         "--precision",
         type=int,
@@ -384,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("name", help="table name, e.g. z22_03")
     pt.set_defaults(func=cmd_search_table)
     pl = ss.add_parser("ljunggren", help="brute scan of x^2 + 1 = 2 y^4")
-    pl.add_argument("--bound", type=int, default=None)
+    pl.add_argument("--bound", type=int, default=1000)
     pl.set_defaults(func=cmd_search_ljunggren)
     pe = ss.add_parser("ecurve", help="unit-scan solver for (a^2 b + 1) b = pi")
     pe.add_argument("--pi", required=True)
-    pe.add_argument("--kmax", type=int, default=None)
+    pe.add_argument("--kmax", type=int, default=20)
     pe.set_defaults(func=cmd_search_ecurve)
 
     p = sub.add_parser("skolem", help="2-adic valuation reports")

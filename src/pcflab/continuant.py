@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .ring import ExtElem, RingElem
+from .ring import ExtElem, RingElem, power
 
 
 class _ProjectiveInfinity:
@@ -78,15 +78,7 @@ class Mat2:
     def __pow__(self, k: int) -> "Mat2":
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = Mat2.identity()
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Mat2.identity())
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.e11, -self.e12, -self.e21, -self.e22)

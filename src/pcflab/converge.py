@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 
 from .continuant import INF, Mat2, Value, cf_matrix, finite_cf_value
 from .intervals import Interval, log10_interval, value_interval
-from .pcf import Pcf, QuadPoly, e_matrix, quad_poly_of_matrix, quad_roots
-from .ring import ExtElem, RingElem, sign_under_embedding
+from .pcf import Pcf, e_matrix, quad_poly_of_matrix, quad_roots
+from .ring import ExtElem, RingElem, ambient_d_of, sign_under_embedding
 
 # divergence reasons
 IDENTITY_MULTIPLE = "IdentityMultiple"
@@ -66,47 +66,65 @@ def _eigenvalue_at(E: Mat2, z: Value):
     return E.e21 * z + E.e22
 
 
-def verdict(P: Pcf) -> Verdict:
-    """Exact convergence decision; a total function over PCFs."""
-    E = e_matrix(P)
+def _mobius_case(E: Mat2) -> str:
+    """IDENTITY_MULTIPLE, PARABOLIC, ELLIPTIC or LOXODROMIC for a determinant +-1 matrix."""
     if E.is_identity_multiple():
-        return Verdict(False, IDENTITY_MULTIPLE)
+        return IDENTITY_MULTIPLE
     tr = E.trace()
-    det = E.det()  # always +-1
+    det = E.det()
     disc = tr * tr - 4 * det  # also the discriminant of the fixed-point quadratic
     s_disc = disc.sign_under_embedding()
     if s_disc == 0:
         # tangent case: double fixed point, sub-exponential convergence
-        lam = tr / 2  # +-1 here
+        return PARABOLIC
+    if s_disc < 0:
+        # complex conjugate eigenvalues; |lambda|^2 = det = +1: a rotation
+        return ELLIPTIC
+    if det == -1 and not tr:
+        # real eigenvalues +1 and -1: an involution of the line
+        return ELLIPTIC
+    return LOXODROMIC
+
+
+def _expanding_fixed_point(E: Mat2, points):
+    """First point whose eigenvalue ``lam`` has ``lam^2 > 1``, as ``(z, lam, lam^2 - 1)``.
+
+    None when no point qualifies.
+    """
+    for z in points:
+        lam = _eigenvalue_at(E, z)
+        m1 = lam * lam - 1
+        if sign_under_embedding(m1) > 0:
+            return z, lam, m1
+    return None
+
+
+def verdict(P: Pcf) -> Verdict:
+    """Exact convergence decision; a total function over PCFs."""
+    E = e_matrix(P)
+    case = _mobius_case(E)
+    if case in (IDENTITY_MULTIPLE, ELLIPTIC):
+        return Verdict(False, case)
+    if case == PARABOLIC:
         pair = quad_roots(quad_poly_of_matrix(E), P.ambient_d())
         note = "all-roots-infinite" if pair.first is INF else ""
         return Verdict(
             True,
             PARABOLIC,
             value=pair.first,
-            eigenvalue=lam,
+            eigenvalue=E.trace() / 2,  # +-1 here
             eigen_modulus_sq_minus_1=RingElem(0),
             note=note,
         )
-    if s_disc < 0:
-        # complex conjugate eigenvalues; |lambda|^2 = det = +1: a rotation
-        return Verdict(False, ELLIPTIC)
-    if det == -1 and not tr:
-        # real eigenvalues +1 and -1: an involution of the line
-        return Verdict(False, ELLIPTIC)
     j = ineq_check(P.per)
     if j is not None:
         limit = finite_cf_value(list(P.pre) + list(P.per[:j]))
         return Verdict(False, INEQ, pariah_index=j, pariah_limit=limit)
-    pair = quad_roots(quad_poly_of_matrix(E), P.ambient_d())
-    for z in pair:
-        lam = _eigenvalue_at(E, z)
-        m1 = lam * lam - 1
-        if sign_under_embedding(m1) > 0:
-            return Verdict(
-                True, LOXODROMIC, value=z, eigenvalue=lam, eigen_modulus_sq_minus_1=m1
-            )
-    raise AssertionError(f"no expanding fixed point found for {P}")
+    hit = _expanding_fixed_point(E, quad_roots(quad_poly_of_matrix(E), P.ambient_d()))
+    if hit is None:
+        raise AssertionError(f"no expanding fixed point found for {P}")
+    z, lam, m1 = hit
+    return Verdict(True, LOXODROMIC, value=z, eigenvalue=lam, eigen_modulus_sq_minus_1=m1)
 
 
 # ---------------------------------------------------------------------------
@@ -127,53 +145,32 @@ class MobiusClassification:
     limit: Optional[Value] = None
 
 
-def _fixed_point_poly(A: Mat2) -> QuadPoly:
-    return QuadPoly(A.e21, A.e22 - A.e11, -A.e12)
-
-
 def classify_mobius(A: Mat2, z: Value) -> MobiusClassification:
     """Classify the orbit of ``z`` under a determinant +-1 matrix."""
     det = A.det()
     if det != 1 and det != -1:
         raise ValueError("classification needs determinant +1 or -1")
-    if A.is_identity_multiple():
+    case = _mobius_case(A)
+    if case == IDENTITY_MULTIPLE:
         return MobiusClassification(1, "fixed", z)
-    poly = _fixed_point_poly(A)
-
-    def fixed(pt: Value) -> bool:
-        return poly.is_root(pt)
-
-    tr = A.trace()
-    disc = tr * tr - 4 * det
-    s_disc = disc.sign_under_embedding()
-    if s_disc == 0:
+    if case == PARABOLIC:
         # tangent: unique fixed point attracts every orbit
         beta = (A.e11 - A.e22) / (2 * A.e21) if A.e21 else INF
         return MobiusClassification(3, "converges", beta)
-    if s_disc < 0 or (det == -1 and not tr):
-        if fixed(z):
+    poly = quad_poly_of_matrix(A)
+    if case == ELLIPTIC:
+        if poly.is_root(z):
             return MobiusClassification(2, "fixed", z)
         return MobiusClassification(5, "diverges", None)
-    if fixed(z):
+    if poly.is_root(z):
         # the start already sits on a fixed point; which one decides the case
-        lam = _eigenvalue_at(A, z)
-        if sign_under_embedding(lam * lam - 1) > 0:
+        if _expanding_fixed_point(A, (z,)):
             return MobiusClassification(6, "converges", z)
         return MobiusClassification(4, "fixed", z)
-    amb = None
-    cands = list(A.entries())
-    if isinstance(z, RingElem):
-        cands.append(z)
-    for e in cands:
-        if e.d is not None:
-            amb = e.d
-            break
-    pair = quad_roots(poly, amb)
-    for pt in pair:
-        lam = _eigenvalue_at(A, pt)
-        if sign_under_embedding(lam * lam - 1) > 0:
-            return MobiusClassification(6, "converges", pt)
-    raise AssertionError("no attracting fixed point in the generic case")
+    hit = _expanding_fixed_point(A, quad_roots(poly, ambient_d_of(*A.entries(), z)))
+    if hit is None:
+        raise AssertionError("no attracting fixed point in the generic case")
+    return MobiusClassification(6, "converges", hit[0])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +183,6 @@ class RateResult:
 
     parabolic: bool
     eigen_abs: Optional[Interval] = None
-    digits_per_period: Optional[Interval] = None
     convergents_per_digit: Optional[Interval] = None
     precision: int = 12
 
@@ -200,7 +196,7 @@ class RateResult:
 
 
 def rate(P: Pcf, digits: int = 12) -> RateResult:
-    """Decimal digits gained per period and its reciprocal flavor.
+    """Convergents needed per certified decimal digit, and ``|eigenvalue|``.
 
     Only meaningful for a convergent PCF; the tangent (double-root) case has
     no exponential rate and comes back flagged instead of with numbers.
@@ -216,13 +212,5 @@ def rate(P: Pcf, digits: int = 12) -> RateResult:
     if sgn < 0:
         iv = -iv
     lg = log10_interval(iv, digits + 8)
-    k = P.k
-    dpp = lg * Fraction(2, k)
-    cpd = Fraction(k, 2) / lg
-    return RateResult(
-        parabolic=False,
-        eigen_abs=iv,
-        digits_per_period=dpp,
-        convergents_per_digit=cpd,
-        precision=digits,
-    )
+    cpd = Fraction(P.k, 2) / lg
+    return RateResult(parabolic=False, eigen_abs=iv, convergents_per_digit=cpd, precision=digits)

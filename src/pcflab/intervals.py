@@ -10,10 +10,11 @@ bounds.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-from .ring import ExtElem, RingElem
+from .ring import ExtElem, RingElem, exact_fraction
 
 Number = Union[int, Fraction, RingElem, ExtElem]
 
@@ -24,8 +25,8 @@ class Interval:
     def __init__(self, lo, hi=None):
         if hi is None:
             hi = lo
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        lo = exact_fraction(lo)
+        hi = exact_fraction(hi)
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
         self.lo = lo
@@ -51,7 +52,7 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def __contains__(self, q) -> bool:
-        q = Fraction(q)
+        q = exact_fraction(q)
         return self.lo <= q <= self.hi
 
     def __add__(self, other):
@@ -97,12 +98,12 @@ class Interval:
 def _as_interval(x) -> Interval:
     if isinstance(x, Interval):
         return x
-    return Interval(Fraction(x))
+    return Interval(x)
 
 
 def sqrt_interval(q: Fraction, prec_bits: int) -> Interval:
     """Certified enclosure of sqrt(q) for rational q >= 0."""
-    q = Fraction(q)
+    q = exact_fraction(q)
     if q < 0:
         raise ValueError("sqrt of a negative rational")
     scale = 1 << prec_bits
@@ -234,11 +235,12 @@ def _round_scaled(q: Fraction, scale: int) -> int:
 
 def format_scaled(n: int, digits: int) -> str:
     sign = "-" if n < 0 else ""
-    n = abs(n)
+    # Decimal converts exactly and, unlike str(int), has no 4300-digit limit
+    text = str(Decimal(abs(n)))
     if digits == 0:
-        return f"{sign}{n}"
-    whole, frac = divmod(n, 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+        return sign + text
+    text = text.zfill(digits + 1)
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 def decimal_str(x: Number, digits: int) -> str:
@@ -251,12 +253,12 @@ def decimal_str(x: Number, digits: int) -> str:
     for _ in range(24):
         iv = elem_interval(x, prec)
         rlo = _round_scaled(iv.lo, scale)
-        rhi = _round_scaled(iv.hi, scale)
-        if rlo == rhi:
+        if rlo == _round_scaled(iv.hi, scale):
             return format_scaled(rlo, digits)
         prec *= 2
-    # the value sits exactly on a rounding boundary: report the upper choice
-    return format_scaled(rhi, digits)
+    # only a value on a rounding boundary gets here, and an irrational value
+    # cannot sit on one
+    raise ArithmeticError("could not certify the rounded digits")
 
 
 def interval_decimal_str(iv: Interval, digits: int) -> str:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .continuant import INF, Mat2, Value, cf_matrix, continuant
-from .ring import ExtElem, RingElem, format_elem, parse_elem, sqrt_in_ring
+from .ring import ExtElem, RingElem, ambient_d_of, format_elem, parse_elem, sqrt_in_ring
 
 
 class IdentityMultipleError(ValueError):
@@ -57,10 +57,7 @@ class Pcf:
         return (len(self.pre), len(self.per))
 
     def ambient_d(self) -> Optional[int]:
-        for c in self.pre + self.per:
-            if c.d is not None:
-                return c.d
-        return None
+        return ambient_d_of(*self.pre, *self.per)
 
     @classmethod
     def parse(cls, text: str, d: Optional[int] = 2) -> "Pcf":
@@ -241,10 +238,7 @@ def quad_roots(q: QuadPoly, ambient_d: Optional[int] = None) -> RootPair:
             return RootPair(INF, INF)
         return RootPair(-C / B, INF)
     disc = qn.disc()
-    amb = ambient_d
-    for e in (A, B, C, disc):
-        amb = amb or e.d
-    s = sqrt_in_ring(disc, amb)
+    s = sqrt_in_ring(disc, ambient_d or ambient_d_of(A, B, C, disc))
     if s is not None:
         r1 = (-B + s) / (2 * A)
         r2 = (-B - s) / (2 * A)

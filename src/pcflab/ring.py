@@ -22,25 +22,9 @@ from typing import Optional, Union
 
 Rat = Union[int, Fraction]
 
-__all__ = [
-    "RingElem",
-    "ExtElem",
-    "parse_elem",
-    "format_elem",
-    "norm",
-    "conjugate",
-    "sign_under_embedding",
-    "sqrt_in_ring",
-    "unit_power",
-    "residue_class",
-    "ext_norm",
-    "ext_conj",
-    "val2",
-    "root",
-]
 
-
-def _squarefree(d: int) -> bool:
+def squarefree(d: int) -> bool:
+    """The rule for an ambient field: ``d`` is squarefree and at least 2."""
     if d < 2:
         return False
     p = 2
@@ -71,19 +55,54 @@ def _sgn(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 
 
+def exact_fraction(x) -> Fraction:
+    """``Fraction(x)``, refusing floats: no float may enter an exact value."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is inexact; pass an int, a Fraction or a string")
+    return Fraction(x)
+
+
+def ambient_d_of(*elems) -> Optional[int]:
+    """The ``d`` of the first argument that is an irrational ``RingElem``.
+
+    Arguments that are not ``RingElem`` (``INF``, extension elements, None)
+    are skipped; None when no argument carries a field.
+    """
+    for e in elems:
+        if isinstance(e, RingElem) and e.d is not None:
+            return e.d
+    return None
+
+
+def power(x, k: int, one):
+    """``x**k`` by repeated squaring from the identity ``one``.
+
+    A negative ``k`` raises ``x.inverse()`` to ``-k``.
+    """
+    base = x if k >= 0 else x.inverse()
+    k = abs(k)
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 class RingElem:
     """``a + b*sqrt(d)`` with exact rational coordinates."""
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rat = 0, b: Rat = 0, d: Optional[int] = None):
-        a = Fraction(a)
-        b = Fraction(b)
+        a = exact_fraction(a)
+        b = exact_fraction(b)
         if b == 0:
             d = None
         elif d is None:
             raise ValueError("irrational part needs a field: pass d")
-        elif not _squarefree(d):
+        elif not squarefree(d):
             raise ValueError(f"d must be squarefree and >= 2, got {d}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -172,15 +191,7 @@ class RingElem:
     def __pow__(self, k: int) -> "RingElem":
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = RingElem(1)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, RingElem(1))
 
     def __neg__(self):
         return RingElem(-self.a, -self.b, self.d)
@@ -257,6 +268,12 @@ class RingElem:
 def root(d: int) -> RingElem:
     """The generator ``sqrt(d)`` itself."""
     return RingElem(0, 1, d)
+
+
+# the constants of Z[sqrt(2)]: w = sqrt(2), the fundamental unit 1 + w, and 2 + w
+W = root(2)
+U = RingElem(1, 1, 2)
+WU = RingElem(2, 1, 2)
 
 
 # module-level aliases mirroring the method names, convenient for mapping
@@ -348,7 +365,7 @@ class ExtElem:
         y._join(theta)
         if not theta:
             raise ValueError("theta must be nonzero")
-        if sqrt_in_ring(theta, theta.d or x.d or y.d) is not None:
+        if sqrt_in_ring(theta, ambient_d_of(theta, x, y)) is not None:
             raise ValueError(f"theta={theta} is a square; extension degenerates")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -357,9 +374,6 @@ class ExtElem:
 
     def __setattr__(self, *_):
         raise AttributeError("ExtElem is immutable")
-
-    def _base_d(self) -> Optional[int]:
-        return self.x.d or self.y.d or self.theta.d
 
     def _compat(self, other: "ExtElem"):
         if self.theta != other.theta or self.branch != other.branch:
@@ -420,15 +434,7 @@ class ExtElem:
     def __pow__(self, k: int) -> "ExtElem":
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = ExtElem(1, 0, self.theta, self.branch)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, ExtElem(1, 0, self.theta, self.branch))
 
     def __neg__(self):
         return ExtElem(-self.x, -self.y, self.theta, self.branch)
@@ -510,22 +516,20 @@ def ext_conj(x: ExtElem) -> ExtElem:
 # 2-adic valuation
 
 
-_VAL2_THETAS = (RingElem(1, 1, 2), RingElem(0, 1, 2))  # 1+w and w
+_VAL2_THETAS = (U, W)
+
+
+def val2_int(n: int):
+    """2-adic valuation of an integer, ``inf`` at zero."""
+    if n == 0:
+        return math.inf
+    return (n & -n).bit_length() - 1
 
 
 def _val2_fraction(q: Fraction):
     if q == 0:
         return math.inf
-    n = q.numerator if q.numerator > 0 else -q.numerator
-    den = q.denominator
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    while den % 2 == 0:
-        den //= 2
-        v -= 1
-    return Fraction(v)
+    return Fraction(val2_int(q.numerator) - val2_int(q.denominator))
 
 
 def val2(x):
@@ -537,7 +541,7 @@ def val2(x):
     ``v2(absolute norm)/4`` with values in quarter-integers.
     """
     if isinstance(x, ExtElem):
-        if x._base_d() not in (None, 2) or all(x.theta != t for t in _VAL2_THETAS):
+        if ambient_d_of(x.x, x.y, x.theta) not in (None, 2) or all(x.theta != t for t in _VAL2_THETAS):
             raise ValueError("val2 supports only the two ramified extensions of Q(sqrt 2)")
         if not x:
             return math.inf
@@ -567,20 +571,23 @@ _ELEM_PATTERNS = (
 def parse_elem(s: str, d: Optional[int] = 2) -> RingElem:
     """Parse ``3-2*w``, ``w``, ``-7+5*w``, ``5/2*w``, ``-1/2`` forms."""
     text = s.replace(" ", "")
-    for pat in _ELEM_PATTERNS:
-        m = pat.fullmatch(text)
-        if not m:
-            continue
-        g = m.groupdict()
-        a = Fraction(g["a"]) if g.get("a") else Fraction(0)
-        if "b" in g:
-            b = Fraction(g["b"]) if g["b"] else Fraction(1)
-            if g.get("bneg") or g.get("sign") == "-":
-                b = -b
-            if d is None:
-                raise ValueError(f"{s!r} uses w but no d was given")
-            return RingElem(a, b, d)
-        return RingElem(a)
+    try:
+        for pat in _ELEM_PATTERNS:
+            m = pat.fullmatch(text)
+            if not m:
+                continue
+            g = m.groupdict()
+            a = Fraction(g["a"]) if g.get("a") else Fraction(0)
+            if "b" in g:
+                b = Fraction(g["b"]) if g["b"] else Fraction(1)
+                if g.get("bneg") or g.get("sign") == "-":
+                    b = -b
+                if d is None:
+                    raise ValueError(f"{s!r} uses w but no d was given")
+                return RingElem(a, b, d)
+            return RingElem(a)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in ring element {s!r}") from None
     raise ValueError(f"cannot parse ring element {s!r}")
 
 

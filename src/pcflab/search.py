@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -21,12 +20,14 @@ from .converge import rate, verdict
 from .intervals import interval_decimal_str
 from .pcf import Pcf
 from .ring import (
+    U,
+    W,
+    WU,
     ExtElem,
     RingElem,
     format_elem,
     parse_elem,
     residue_class,
-    root,
     sqrt_in_ring,
     unit_power,
 )
@@ -43,19 +44,13 @@ from .variety import (
     variety_residuals,
 )
 
-_W = root(2)
-_U = RingElem(1, 1, 2)
-_WU = RingElem(2, 1, 2)
-_ZERO2 = RingElem(0, 0, 2)
-_ONE2 = RingElem(1, 0, 2)
-
 #: positive root of x^2 = 2
 SQRT2 = ExtElem(RingElem(0), RingElem(1), RingElem(2), 1)
 #: positive root of x^2 = 2 + sqrt(2)
-ALPHA2 = ExtElem(_ZERO2, _ONE2, _WU, 1)
+ALPHA2 = ExtElem(0, 1, WU, 1)
 
 TARGET_SQRT2 = TargetRoots(1, 0, -2)
-TARGET_ALPHA2 = TargetRoots(_ONE2, _ZERO2, -_WU)
+TARGET_ALPHA2 = TargetRoots(1, 0, -WU)
 
 # residues mod 4 in the quadratic ring: all squares, and all values of the
 # reduced quartic alpha - (y^2 - alpha)^2 at alpha = 2 + sqrt(2); disjoint.
@@ -98,17 +93,17 @@ def unit_divisor_enum(target, kmax: int) -> List[Tuple[RingElem, int]]:
     always one of 1, -1, 2, -2.
     """
     target = RingElem._wrap(target)
-    include_w = target == _W
+    include_w = target == W
     if not include_w and not target.is_unit():
         raise ValueError(f"no divisor enumeration for target {target}")
     out = []
     for k in range(-kmax, kmax + 1):
-        uk = unit_power(_U, k)
+        uk = unit_power(U, k)
         for s in (1, -1):
             b = uk if s > 0 else -uk
             out.append((b, int(b.norm())))
             if include_w:
-                bw = b * _W
+                bw = b * W
                 out.append((bw, int(bw.norm())))
     return out
 
@@ -141,8 +136,8 @@ def solve_e_curve(pi, kmax: int = 20, use_filters: bool = True) -> List[Tuple[Ri
     if pi == RingElem(2):
         cands = [(RingElem(x), x * x) for x in (1, -1, 2, -2)]
         ambient = None
-    elif pi == _WU:
-        cands = unit_divisor_enum(_W, kmax)
+    elif pi == WU:
+        cands = unit_divisor_enum(W, kmax)
         ambient = 2
     else:
         raise ValueError(f"no divisor theory wired for target {pi}")
@@ -214,7 +209,7 @@ def quartic_y1_scan(T: TargetRoots, bound: int, ambient: Optional[int] = None) -
 
 def load_table(name: Union[TableName, str]) -> tuple:
     """Parse the embedded expected-result fixture for a named table."""
-    name = TableName(name) if not isinstance(name, TableName) else name
+    name = TableName(name)
     path = resources.files("pcflab").joinpath("tables", f"{name.value}.txt")
     rows = []
     for line in path.read_text().splitlines():
@@ -299,14 +294,14 @@ def _residual03_sqrt2(p):
     return variety_residuals(TARGET_SQRT2, VarietyPoint(p, 0, 3))
 
 
-def _solve_z22_03(kmax: int = 20, use_filters: bool = True) -> List[tuple]:
+def _solve_z22_03(kmax: int = 20) -> List[tuple]:
     pts = {}
-    for b, tag in unit_divisor_enum(_U, kmax):
-        if use_filters and tag == 1:
+    for b, tag in unit_divisor_enum(U, kmax):
+        if tag == 1:
             n = int((b * b + 1).norm())
             if n % 8 == 4:
                 continue
-        q = (b * b + 1) / _WU
+        q = (b * b + 1) / WU
         if not q.is_integral():
             continue
         s = sqrt_in_ring(q, 2)
@@ -360,8 +355,8 @@ def _pipeline_z_21(box: int = 5, ybound: int = 50):
 
 
 def _reduced_quartic_alpha2(y: RingElem) -> RingElem:
-    g = y * y - _WU
-    return _WU - g * g
+    g = y * y - WU
+    return WU - g * g
 
 
 def _pipeline_z22_21(coeff_box: int = 20):
@@ -405,11 +400,11 @@ def _pipeline_z_12(kmax: int = 3):
 
 
 def _pipeline_z22_12(kmax: int = 20):
-    found = solve_e_curve(_WU, kmax)
+    found = solve_e_curve(WU, kmax)
     norm_neg1 = [p for p in found if int(p[1].norm()) == -1]
     checks = [
         ("contains the extraneous point with vanishing first coordinate",
-         (_ZERO2, _WU) in found),
+         (RingElem(0), WU) in found),
         ("point count is 1 mod 4", len(found) % 4 == 1),
         ("eight points carry a norm -1 second coordinate", len(norm_neg1) == 8),
     ]
@@ -431,7 +426,7 @@ def _pipeline_pcf_rinds(kmax: int = 20):
 
 
 def _pipeline_pcf_pot(kmax: int = 20):
-    pts = solve_e_curve(_WU, kmax)
+    pts = solve_e_curve(WU, kmax)
     pcfs = [pcf_of_e_point(a, b) for a, b in pts if a]
     verdicts = [verdict(P) for P in pcfs]
     keep = [P for P, v in zip(pcfs, verdicts) if v.converges and v.value == ALPHA2]
@@ -491,7 +486,7 @@ _PIPELINES = {
 
 def reproduce_table(name: Union[TableName, str]) -> TableReport:
     """Re-run the enumeration behind a table and diff it against the fixture."""
-    name = TableName(name) if not isinstance(name, TableName) else name
+    name = TableName(name)
     expected = load_table(name)
     found, checks, notes = _PIPELINES[name]()
     found_set = set(found)

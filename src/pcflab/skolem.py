@@ -16,11 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .ring import ExtElem, RingElem, format_elem, root, val2
-
-_W = root(2)
-_U = RingElem(1, 1, 2)
-_WU = RingElem(2, 1, 2)
+from .ring import U, W, WU, ExtElem, RingElem, format_elem, val2, val2_int
 
 
 @dataclass(frozen=True)
@@ -41,15 +37,15 @@ def _fail(tag: str, what: str):
 @lru_cache(maxsize=None)
 def context_l1() -> SkolemContext:
     """Extension by a square root of the fundamental unit, with self-checks."""
-    theta = _U
+    theta = U
     v = ExtElem(0, 1, theta, 1)
-    u1 = ExtElem(-_U, _W, theta, 1)
-    alpha1 = ExtElem(_U, 1, theta, 1)
+    u1 = ExtElem(-U, W, theta, 1)
+    alpha1 = ExtElem(U, 1, theta, 1)
     if u1.ext_norm() != 1:
         _fail("L1", "distinguished unit has wrong relative norm")
-    if alpha1.ext_norm() != _WU:
+    if alpha1.ext_norm() != WU:
         _fail("L1", "base point has wrong relative norm")
-    if _U - v != -(alpha1 * u1):
+    if U - v != -(alpha1 * u1):
         _fail("L1", "conjugate base point is not -alpha*unit")
     if (1 - u1).ext_norm() != RingElem(4, 2, 2):
         _fail("L1", "1 - unit has wrong relative norm")
@@ -65,10 +61,10 @@ def context_l1() -> SkolemContext:
 @lru_cache(maxsize=None)
 def context_l2() -> SkolemContext:
     """Extension by a square root of sqrt(2), with self-checks."""
-    theta = _W
+    theta = W
     v = ExtElem(0, 1, theta, 1)
     u2 = ExtElem(RingElem(3, 2, 2), RingElem(2, 2, 2), theta, 1)
-    alpha2p = ExtElem(_WU, -_U, theta, 1)  # u * (w - v)
+    alpha2p = ExtElem(WU, -U, theta, 1)  # u * (w - v)
     if u2.ext_norm() != 1:
         _fail("L2", "distinguished unit has wrong relative norm")
     if u2 * (1 - v) != -(1 + v):
@@ -94,7 +90,7 @@ def rst(n: int) -> Tuple[RingElem, RingElem, RingElem]:
         raise ValueError("nonnegative exponents only")
     c = context_l1()
     p = (1 - c.unit * c.unit) ** n
-    return (p.x, p.y, p.x + _U * p.y)
+    return (p.x, p.y, p.x + U * p.y)
 
 
 def power_coeffs(k: int) -> Tuple[RingElem, RingElem]:
@@ -157,12 +153,7 @@ def format_aprime_table(rows: Sequence[AprimeRow]) -> str:
                 str(row.nz),
             )
         )
-    heads = ("k", "a'", "z", "N(z)")
-    widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(heads)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(heads))]
-    for c in cells:
-        lines.append("  ".join(c[i].ljust(widths[i]) for i in range(len(heads))))
-    return "\n".join(lines)
+    return _columns(("k", "a'", "z", "N(z)"), cells)
 
 
 @dataclass(frozen=True)
@@ -240,13 +231,6 @@ class OryxReport:
         return "\n".join(lines)
 
 
-def _v2_int(n: int):
-    if n == 0:
-        return math.inf
-    n = abs(n)
-    return (n & -n).bit_length() - 1
-
-
 def oryx_check(jmax: int) -> OryxReport:
     """Exactness of the norm-difference valuation identity on integers.
 
@@ -262,7 +246,7 @@ def oryx_check(jmax: int) -> OryxReport:
             if (jp - j) % 2:
                 continue
             pairs += 1
-            if _v2_int(norms[jp] - norms[j]) != _v2_int(jp - j) + 4:
+            if val2_int(norms[jp] - norms[j]) != val2_int(jp - j) + 4:
                 violations.append((j, jp))
     return OryxReport(jmax, pairs, tuple(violations))
 
@@ -286,9 +270,10 @@ def l2_scan(kmax: int) -> List[int]:
 def rst_table(nmax: int) -> str:
     """Aligned text table of the power expansion coefficients up to nmax."""
     rows = [(str(n),) + tuple(format_elem(c) for c in rst(n)) for n in range(nmax + 1)]
-    heads = ("n", "r", "s", "t")
+    return _columns(("n", "r", "s", "t"), rows)
+
+
+def _columns(heads: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-justified text columns, two spaces apart, under a header line."""
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(heads)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(heads))]
-    for r in rows:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(heads))))
-    return "\n".join(lines)
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in (heads, *rows))

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .continuant import INF, Mat2, Value, cf_matrix
-from .pcf import Pcf, QuadPoly, RootPair, e_matrix, quad_poly_of_matrix, quad_roots
-from .ring import ExtElem, RingElem, conjugate, format_elem, root, sqrt_in_ring
+from .continuant import INF, cf_matrix
+from .pcf import Pcf, QuadPoly, RootPair, e_matrix, quad_roots
+from .ring import W, WU, ExtElem, RingElem, ambient_d_of, conjugate, format_elem, sqrt_in_ring
 
 Coord = Union[RingElem, ExtElem]
 
@@ -224,7 +224,7 @@ def solve_small_type(T: TargetRoots, type_nk: Tuple[int, int]) -> SmallTypeSolut
         if not a1_sq:
             pt = (-beta / 2, RingElem(0))
             return SmallTypeSolution(nk, (pt,), True, False, "double point")
-        s = sqrt_in_ring(a1_sq, _ambient_of(A, B, C))
+        s = sqrt_in_ring(a1_sq, ambient_d_of(A, B, C))
         if s is not None:
             pts = []
             for a1 in (s, -s):
@@ -236,13 +236,6 @@ def solve_small_type(T: TargetRoots, type_nk: Tuple[int, int]) -> SmallTypeSolut
             pts.append(((a1 - beta) / 2, a1))
         return SmallTypeSolution(nk, tuple(pts), False, False)
     raise ValueError(f"no closed form for type {nk}")
-
-
-def _ambient_of(*elems) -> Optional[int]:
-    for e in elems:
-        if isinstance(e, RingElem) and e.d is not None:
-            return e.d
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +400,8 @@ def pcf_of_e_point(a, b) -> Pcf:
     return Pcf((a * b,), (2 * a, 2 * a * b))
 
 
-def _twist_unit(w: RingElem, u: RingElem, pi: RingElem) -> RingElem:
-    tw = w - 1
+def _twist_unit(pi: RingElem) -> RingElem:
+    tw = W - 1
     if conjugate(pi) / pi != tw * tw:
         raise AssertionError("conjugation twist self-check failed")
     return tw
@@ -424,9 +417,7 @@ def family_orbit(y1, x1) -> Tuple[Tuple[RingElem, RingElem], ...]:
     x1 = RingElem._wrap(x1)
     if not y1 and not x1:
         raise ValueError("the zero point has no orbit")
-    w = root(2)
-    u = 1 + w
-    tw = _twist_unit(w, u, 2 + w)
+    tw = _twist_unit(WU)
     y2 = conjugate(y1) / tw
     x2 = conjugate(x1) * tw
     orbit = ((y1, x1), (-y1, -x1), (y2, x2), (-y2, -x2))
@@ -443,8 +434,7 @@ def family_orbit(y1, x1) -> Tuple[Tuple[RingElem, RingElem], ...]:
 def corr03_12(z1, z2, z3) -> Tuple[RingElem, RingElem]:
     """Push a type ``(0,3)`` point with roots ``+-sqrt(2 + sqrt(2))``
     down to a curve point ``(a, b) = ((z2 z3 + 1)/z2^2, -(2+w) z2^2)``."""
-    w = root(2)
-    pi = 2 + w
+    pi = WU
     T = TargetRoots(1, 0, -pi)
     p = VarietyPoint((z1, z2, z3), 0, 3)
     if any(variety_residuals(T, p)):
@@ -466,8 +456,7 @@ def corr12_03(a, b) -> Tuple[Tuple[RingElem, RingElem, RingElem], ...]:
     Requires ``-b/(2+w)`` to be the square of a unit; the quadruplet is
     generated by the sign choices in ``(+-a, +-z2)``.
     """
-    w = root(2)
-    pi = 2 + w
+    pi = WU
     a = RingElem._wrap(a)
     b = RingElem._wrap(b)
     if b.norm() != 2:
@@ -520,10 +509,9 @@ def verify_curve_points(curve: Callable, pts: Sequence) -> List[RingElem]:
 
 
 def _zw_points(pairs):
-    w = root(2)
     out = []
     for (xa, xb), (ya, yb) in pairs:
-        out.append((RingElem(xa) + xb * w, RingElem(ya) + yb * w))
+        out.append((xa + xb * W, ya + yb * W))
     return tuple(out)
 
 
@@ -569,7 +557,7 @@ POINTS_X_X2_XM1 = _zw_points(
     ]
 )
 
-# nine points with coordinates in Z[sqrt(2)] on y^2 = x^3 - 4x
+# seven points with coordinates in Z[sqrt(2)] on y^2 = x^3 - 4x
 POINTS_X3_MINUS_4X = _zw_points(
     [
         ((0, 0), (0, 0)),

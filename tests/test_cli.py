@@ -40,6 +40,27 @@ def test_eval_parse_error(capsys):
     assert rc == 2
     assert err
 
+    rc, _, err = run(capsys, "eval", "[;1/0]")
+    assert rc == 2
+    assert "zero denominator" in err
+
+
+def test_d_flag_is_honored_or_rejected(capsys):
+    rc, out, _ = run(capsys, "--d", "3", "eval", "[1;2]")
+    assert rc == 0
+    assert "value: sqrt(2)" in out
+
+    for d in ("1", "-3", "4"):
+        rc, _, err = run(capsys, "--d", d, "eval", "[1;2]")
+        assert rc == 2
+        assert "squarefree" in err
+
+    for cmd in (["search", "table", "z_03"], ["search", "ecurve", "--pi", "2"], ["skolem", "rst"]):
+        rc, out, err = run(capsys, "--d", "3", *cmd)
+        assert rc == 2
+        assert not out
+        assert "Z[sqrt(2)] only" in err
+
 
 def test_eval_big_solution_rate(capsys):
     rc, out, _ = run(capsys, "eval", "[442+312*w;-298532+211094*w,884+624*w]")
@@ -130,6 +151,10 @@ def test_precision_flag_and_env(capsys, monkeypatch):
     rc, out, _ = run(capsys, "--precision", "10", "eval", "[1;2]")
     assert rc == 0
     assert "decimal: 1.4142135624" in out
+
+    rc, out, _ = run(capsys, "--precision", "5000", "eval", "[1;2]")
+    assert rc == 0
+    assert len(out.split("decimal: ", 1)[1].split("\n", 1)[0]) == 5002
 
     monkeypatch.setenv("PCFLAB_PRECISION", "5")
     rc, out, _ = run(capsys, "eval", "[1;2]")

@@ -145,12 +145,13 @@ def test_numeric_truncation_oracle():
         v = verdict(P)
         if not (v.converges and v.reason == LOXODROMIC) or v.value is INF:
             continue
-        r = rate(P)
-        dpp = r.digits_per_period.mid
-        if dpp < Fraction(1, 5):
+        # digits gained per convergent; a period gains k times as many, so
+        # counting periods with it leaves a wide margin
+        per_convergent = 1 / rate(P).convergents_per_digit.mid
+        if per_convergent < Fraction(1, 5):
             periods, tol = 400, Fraction(1, 1000)
         else:
-            periods = int(22 / dpp) + 40
+            periods = int(22 / per_convergent) + 40
             tol = Fraction(1, 10 ** 20)
         x = truncation_value(P, periods)
         if x is INF:

@@ -1,6 +1,8 @@
 """Certified interval enclosures and decimal rendering."""
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,23 @@ def test_decimal_str_algebraic():
     assert decimal_str(-W, 10) == "-1.4142135624"
     assert decimal_str(ALPHA, 12) == "1.847759065023"
     assert decimal_str(U_VAL, 6) == "2.414214"
+
+
+def test_decimal_str_past_the_int_str_limit():
+    # 4301 digits is one past Python's default limit for int <-> str
+    digits = 4301
+    text = decimal_str(W, digits)
+    assert text[:2] == "1." and len(text) == digits + 2
+    rounded = (math.isqrt(8 * 10 ** (2 * digits)) + 1) // 2  # floor(sqrt2 * 10^digits + 1/2)
+    assert int(Decimal(text.replace(".", ""))) == rounded
+
+
+def test_floats_are_refused():
+    for args in ((0.1,), (0, 0.5)):
+        with pytest.raises(TypeError):
+            Interval(*args)
+    with pytest.raises(TypeError):
+        Interval(0, 1) + 0.5
 
 
 def test_interval_decimal_str_guards_width():

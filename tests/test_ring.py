@@ -141,6 +141,14 @@ def test_parse_format_round_trip():
     assert parse_elem("-w", 2) == -W
     with pytest.raises(ValueError):
         parse_elem("3+*w", 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_elem("1-1/0*w", 2)
+
+
+def test_floats_are_refused():
+    for args in ((0.1,), (1, 0.5, 2)):
+        with pytest.raises(TypeError):
+            RingElem(*args)
 
 
 def test_cross_ambient_scalar_equality():

@@ -201,9 +201,11 @@ def test_elliptic_curve_point_lists():
     assert len(POINTS_X3_MINUS_X) == 7
     assert len(POINTS_X_X2_XM1) == 23
     assert len(POINTS_X3_MINUS_4X) == 7
-    assert verify_curve_points(curve_x3_minus_x, POINTS_X3_MINUS_X)
-    assert verify_curve_points(curve_x_x2_xm1, POINTS_X_X2_XM1)
-    assert verify_curve_points(curve_x3_minus_4x, POINTS_X3_MINUS_4X)
+    assert not any(verify_curve_points(curve_x3_minus_x, POINTS_X3_MINUS_X))
+    assert not any(verify_curve_points(curve_x_x2_xm1, POINTS_X_X2_XM1))
+    assert not any(verify_curve_points(curve_x3_minus_4x, POINTS_X3_MINUS_4X))
+    x, y = POINTS_X_X2_XM1[-1]
+    assert any(verify_curve_points(curve_x_x2_xm1, [(x, y + 1)]))
 
 
 def test_vnk_residuals_detect_honest_period():
