@@ -9,6 +9,7 @@ byte for byte.  To re-record after an intended output change, run
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -55,5 +56,6 @@ def test_cli_output_matches_golden(argv, monkeypatch):
 
 
 if __name__ == "__main__":
+    os.environ.pop("PCFLAB_PRECISION", None)
     records = [run(argv) for argv in golden_argvs()]
     FIXTURE.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
