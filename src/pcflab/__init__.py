@@ -35,7 +35,6 @@ from .pcf import (
     IdentityMultipleError,
     Pcf,
     QuadPoly,
-    RootPair,
     dual,
     e_matrix,
     e_matrix_continuant_form,
@@ -92,8 +91,6 @@ from .skolem import (
 )
 from .variety import (
     SmallTypeSolution,
-    TargetRoots,
-    VarietyPoint,
     corr03_12,
     corr12_03,
     curve12_point,

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from .continuant import INF
 from .converge import PARABOLIC, rate, verdict
 from .intervals import decimal_str
-from .pcf import Pcf, dual
+from .pcf import Pcf, QuadPoly, dual
 from .ring import (
     ExtElem,
     RingElem,
@@ -31,14 +31,7 @@ from .ring import (
 )
 from .search import TableName, ljunggren_oracle, reproduce_table, solve_e_curve
 from .skolem import aprime_z_table, format_aprime_table, l2_scan, oryx_check, rst_table
-from .variety import (
-    TargetRoots,
-    VarietyPoint,
-    e_curve_residual,
-    fp_conic_residual,
-    fp_project,
-    variety_residuals,
-)
+from .variety import e_curve_residual, fp_conic_residual, fp_project, variety_residuals
 
 MATH_NEGATIVE = 1
 USAGE_ERROR = 2
@@ -168,11 +161,20 @@ def _parse_tuple(text: str, d: int) -> Tuple[RingElem, ...]:
     return tuple(parse_elem(p, d) for p in text.split(","))
 
 
-def _target_of(args, cfg: CliConfig) -> TargetRoots:
+def _target_of(args, cfg: CliConfig) -> QuadPoly:
     abc = _parse_tuple(args.target, cfg.d)
     if len(abc) != 3:
         raise ValueError("target must be three comma-separated coefficients")
-    return TargetRoots(*abc)
+    if not any(abc):
+        raise ValueError("target coefficients must not all vanish")
+    return QuadPoly(*abc)
+
+
+def _point_of(text: str, n: int, k: int, d: int) -> Pcf:
+    coords = _parse_tuple(text, d)
+    if len(coords) != n + k:
+        raise ValueError("need n >= 0, k >= 1 and n + k coordinates")
+    return Pcf(coords[:n], coords[n:])
 
 
 def _coords_text(coords: Sequence[RingElem]) -> str:
@@ -184,9 +186,9 @@ def cmd_variety_check(args, cfg: CliConfig) -> int:
     T = _target_of(args, cfg)
     all_member = True
     for text in args.point:
-        coords = _parse_tuple(text, cfg.d)
-        p = VarietyPoint(coords, n, k)
-        res = variety_residuals(T, p)
+        P = _point_of(text, n, k, cfg.d)
+        coords = P.pre + P.per
+        res = variety_residuals(T, P)
         member = not any(res)
         all_member = all_member and member
         if cfg.format == "json-lines":
@@ -209,10 +211,10 @@ def cmd_fp_project(args, cfg: CliConfig) -> int:
     T = _target_of(args, cfg)
     all_on = True
     for text in args.point:
-        coords = _parse_tuple(text, cfg.d)
-        p = VarietyPoint(coords, n, k)
+        P = _point_of(text, n, k, cfg.d)
+        coords = P.pre + P.per
         try:
-            xy = fp_project(T, p)
+            xy = fp_project(T, P)
         except ValueError as exc:
             print(f"math error: {exc}", file=sys.stderr)
             all_on = False
@@ -313,15 +315,21 @@ def cmd_search_ecurve(args, cfg: CliConfig) -> int:
 def cmd_skolem(args, cfg: CliConfig) -> int:
     _require_d2(cfg, "skolem")
     if args.report == "rst":
+        if args.nmax < 0:
+            raise ValueError("nmax must be nonnegative")
         print(rst_table(args.nmax))
         return 0
     if args.report == "table":
         print(format_aprime_table(aprime_z_table()))
         return 0
     if args.report == "oryx":
+        if args.jmax <= 0:
+            raise ValueError("jmax must be positive")
         rep = oryx_check(args.jmax)
         print(rep)
         return 0 if rep.all_pass else MATH_NEGATIVE
+    if args.kmax <= 0:
+        raise ValueError("kmax must be positive")
     ks = l2_scan(args.kmax)
     print("exponents with unit-norm v-coefficient: {" + ", ".join(map(str, ks)) + "}")
     return 0

@@ -108,10 +108,6 @@ class Mat2:
 
     # -- projective action ------------------------------------------------
 
-    def apply_vec(self, pq: Tuple) -> Tuple:
-        p, q = pq
-        return (self.e11 * p + self.e12 * q, self.e21 * p + self.e22 * q)
-
     def moebius(self, z: Value) -> Value:
         """Image of ``z`` (a ring value, extension value, or INF)."""
         if z is INF:

@@ -106,12 +106,12 @@ def verdict(P: Pcf) -> Verdict:
     if case in (IDENTITY_MULTIPLE, ELLIPTIC):
         return Verdict(False, case)
     if case == PARABOLIC:
-        pair = quad_roots(quad_poly_of_matrix(E), P.ambient_d())
-        note = "all-roots-infinite" if pair.first is INF else ""
+        value = quad_roots(quad_poly_of_matrix(E), P.ambient_d())[0]
+        note = "all-roots-infinite" if value is INF else ""
         return Verdict(
             True,
             PARABOLIC,
-            value=pair.first,
+            value=value,
             eigenvalue=E.trace() / 2,  # +-1 here
             eigen_modulus_sq_minus_1=RingElem(0),
             note=note,

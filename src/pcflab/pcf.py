@@ -93,7 +93,7 @@ class Pcf:
 
 @dataclass(frozen=True)
 class QuadPoly:
-    """``A x^2 + B x + C`` read off the conjugation matrix."""
+    """``A x^2 + B x + C``, read off a conjugation matrix or prescribed as a family target."""
 
     A: RingElem
     B: RingElem
@@ -120,14 +120,6 @@ class QuadPoly:
     def disc(self) -> RingElem:
         return self.B * self.B - 4 * self.A * self.C
 
-    def proportional(self, other: "QuadPoly") -> bool:
-        """Equality as points of the projective coefficient plane."""
-        a1, b1, c1 = self
-        a2, b2, c2 = other
-        return (
-            a1 * b2 == a2 * b1 and a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1
-        )
-
     def normalized(self) -> "QuadPoly":
         """Primitive integral coefficients, leading sign positive."""
         coords = []
@@ -140,43 +132,6 @@ class QuadPoly:
         if (lead * mult).sign_under_embedding() < 0:
             mult = -mult
         return QuadPoly(self.A * mult, self.B * mult, self.C * mult)
-
-
-class RootPair:
-    """The two roots of a quadratic, kept in a fixed display order.
-
-    For irrational roots, the first entry carries the positive embedding
-    branch.  Membership and equality are value-based and treat the pair as a
-    multiset.
-    """
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first: Value, second: Value):
-        self.first = first
-        self.second = second
-
-    def __iter__(self):
-        return iter((self.first, self.second))
-
-    def __contains__(self, z):
-        return z == self.first or z == self.second
-
-    def __eq__(self, other):
-        if not isinstance(other, RootPair):
-            return NotImplemented
-        return (self.first == other.first and self.second == other.second) or (
-            self.first == other.second and self.second == other.first
-        )
-
-    def __hash__(self):
-        try:
-            return hash(frozenset((self.first, self.second)))
-        except TypeError:
-            return 0
-
-    def __repr__(self):
-        return f"RootPair({self.first!r}, {self.second!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +184,32 @@ def quad_poly_of_matrix(E: Mat2) -> QuadPoly:
     return QuadPoly(E.e21, E.e22 - E.e11, -E.e12)
 
 
-def quad_roots(q: QuadPoly, ambient_d: Optional[int] = None) -> RootPair:
-    """Exact roots of a quadratic over the base field, INF included."""
+def quad_roots(q: QuadPoly, ambient_d: Optional[int] = None) -> Tuple[Value, Value]:
+    """Exact roots of a quadratic over the base field, INF included.
+
+    For irrational roots the first entry carries the positive embedding branch.
+    """
     qn = q.normalized()
     A, B, C = qn
     if not A:
         if not B:
-            return RootPair(INF, INF)
-        return RootPair(-C / B, INF)
+            return (INF, INF)
+        return (-C / B, INF)
     disc = qn.disc()
     s = sqrt_in_ring(disc, ambient_d or ambient_d_of(A, B, C, disc))
     if s is not None:
         r1 = (-B + s) / (2 * A)
         r2 = (-B - s) / (2 * A)
-        return RootPair(r1, r2)
+        return (r1, r2)
     center = -B / (2 * A)
     spread = 1 / (2 * A)
-    return RootPair(
+    return (
         ExtElem(center, spread, disc, 1),
         ExtElem(center, spread, disc, -1),
     )
 
 
-def roots(P: Pcf) -> RootPair:
+def roots(P: Pcf) -> Tuple[Value, Value]:
     return quad_roots(quad_poly(P), P.ambient_d())
 
 

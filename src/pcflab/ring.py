@@ -486,9 +486,6 @@ class ExtElem:
     def ext_conj(self) -> "ExtElem":
         return ExtElem(self.x, -self.y, self.theta, self.branch)
 
-    def ext_trace(self) -> RingElem:
-        return 2 * self.x
-
     def sign_under_embedding(self) -> int:
         if self.theta.sign_under_embedding() < 0:
             raise ValueError("element is not real: theta < 0 under the embedding")

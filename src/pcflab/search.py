@@ -18,7 +18,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .converge import rate, verdict
 from .intervals import interval_decimal_str
-from .pcf import Pcf
+from .pcf import Pcf, QuadPoly
 from .ring import (
     U,
     W,
@@ -32,8 +32,6 @@ from .ring import (
     unit_power,
 )
 from .variety import (
-    TargetRoots,
-    VarietyPoint,
     curve21_quartic,
     curve21_residual,
     e_curve_residual,
@@ -49,8 +47,8 @@ SQRT2 = ExtElem(RingElem(0), RingElem(1), RingElem(2), 1)
 #: positive root of x^2 = 2 + sqrt(2)
 ALPHA2 = ExtElem(0, 1, WU, 1)
 
-TARGET_SQRT2 = TargetRoots(1, 0, -2)
-TARGET_ALPHA2 = TargetRoots(1, 0, -WU)
+TARGET_SQRT2 = QuadPoly(1, 0, -2)
+TARGET_ALPHA2 = QuadPoly(1, 0, -WU)
 
 # residues mod 4 in the quadratic ring: all squares, and all values of the
 # reduced quartic alpha - (y^2 - alpha)^2 at alpha = 2 + sqrt(2); disjoint.
@@ -122,6 +120,12 @@ def _canon_key(pt: Sequence[RingElem]):
     return flat + (sgn,)
 
 
+def _norm_one_cut(b: RingElem, norm_b: int) -> bool:
+    """Congruence filter of the unit scans: drop a norm-one candidate ``b``
+    when the norm of ``b^2 + 1`` is 4 mod 8."""
+    return norm_b == 1 and int((b * b + 1).norm()) % 8 == 4
+
+
 def solve_e_curve(pi, kmax: int = 20, use_filters: bool = True) -> List[Tuple[RingElem, RingElem]]:
     """All points (a, b) with (a^2 b + 1) b = pi found under the divisor bound.
 
@@ -144,10 +148,8 @@ def solve_e_curve(pi, kmax: int = 20, use_filters: bool = True) -> List[Tuple[Ri
     pts = {}
     for b, tag in cands:
         if use_filters and ambient == 2:
-            if tag == 1:
-                n = int((b * b + 1).norm())
-                if n % 8 == 4:
-                    continue
+            if _norm_one_cut(b, tag):
+                continue
             if int((pi - b).norm()) % 4 == 3:
                 continue
         q = (pi - b) / (b * b)
@@ -193,7 +195,7 @@ def box_search(residual: Callable, box: Sequence[Iterable]) -> List[tuple]:
     return found
 
 
-def quartic_y1_scan(T: TargetRoots, bound: int, ambient: Optional[int] = None) -> List[RingElem]:
+def quartic_y1_scan(T: QuadPoly, bound: int, ambient: Optional[int] = None) -> List[RingElem]:
     """First coordinates whose type-(2,1) quartic value is a ring square."""
     axis = zw_box(bound) if ambient == 2 else int_range(bound)
     hits = []
@@ -273,7 +275,7 @@ def _solve_z_03() -> List[tuple]:
         for x3 in (0, -2 * eps):
             x1 = eps + 2 * x3
             pt = (RingElem(x1), RingElem(eps), RingElem(x3))
-            assert is_member(TARGET_SQRT2, VarietyPoint(pt, 0, 3))
+            assert is_member(TARGET_SQRT2, Pcf((), pt))
             pts.append(pt)
     return sorted(pts, key=_canon_key)
 
@@ -291,16 +293,14 @@ def _pipeline_z_03(box: int = 5):
 
 
 def _residual03_sqrt2(p):
-    return variety_residuals(TARGET_SQRT2, VarietyPoint(p, 0, 3))
+    return variety_residuals(TARGET_SQRT2, Pcf((), p))
 
 
 def _solve_z22_03(kmax: int = 20) -> List[tuple]:
     pts = {}
     for b, tag in unit_divisor_enum(U, kmax):
-        if tag == 1:
-            n = int((b * b + 1).norm())
-            if n % 8 == 4:
-                continue
+        if _norm_one_cut(b, tag):
+            continue
         q = (b * b + 1) / WU
         if not q.is_integral():
             continue
@@ -315,7 +315,7 @@ def _solve_z22_03(kmax: int = 20) -> List[tuple]:
             if not x1.is_integral():
                 continue
             pt = (x1, b, x3)
-            assert is_member(TARGET_ALPHA2, VarietyPoint(pt, 0, 3))
+            assert is_member(TARGET_ALPHA2, Pcf((), pt))
             pts[pt] = None
     return sorted(pts, key=_canon_key)
 
@@ -345,7 +345,7 @@ def _pipeline_z_21(box: int = 5, ybound: int = 50):
         ("square quartic values only at first coordinate +-1",
          sorted(hits, key=lambda c: (c.a, c.b)) == [RingElem(-1), RingElem(1)]),
         ("all boxed points satisfy the defining equations",
-         all(is_member(TARGET_SQRT2, VarietyPoint(p, 2, 1)) for p in found)),
+         all(is_member(TARGET_SQRT2, Pcf(p[:2], p[2:])) for p in found)),
     ]
     notes = [
         "the quartic is negative once the first coordinate squared exceeds 3,"

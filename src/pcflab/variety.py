@@ -13,104 +13,17 @@ cubic curves that show up along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 from .continuant import INF, cf_matrix
-from .pcf import Pcf, QuadPoly, RootPair, e_matrix, quad_roots
+from .pcf import Pcf, QuadPoly, e_matrix
 from .ring import W, WU, ExtElem, RingElem, ambient_d_of, conjugate, format_elem, sqrt_in_ring
 
 Coord = Union[RingElem, ExtElem]
 
 
-class TargetRoots:
-    """Projective coefficient triple ``(A, B, C)`` of the prescribed quadratic."""
-
-    __slots__ = ("A", "B", "C")
-
-    def __init__(self, A, B, C):
-        A = RingElem._wrap(A)
-        B = RingElem._wrap(B)
-        C = RingElem._wrap(C)
-        if not (A or B or C):
-            raise ValueError("target coefficients must not all vanish")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TargetRoots is immutable")
-
-    @classmethod
-    def of_value(cls, alpha) -> "TargetRoots":
-        """Family whose roots are ``alpha`` and its conjugate: ``x^2 - alpha``... scaled as ``(1, 0, -alpha)``."""
-        return cls(1, 0, -RingElem._wrap(alpha))
-
-    def quad(self) -> QuadPoly:
-        return QuadPoly(self.A, self.B, self.C)
-
-    def root_pair(self, ambient_d: Optional[int] = None) -> RootPair:
-        return quad_roots(self.quad(), ambient_d)
-
-    def conjugated(self) -> "TargetRoots":
-        return TargetRoots(conjugate(self.A), conjugate(self.B), conjugate(self.C))
-
-    def __iter__(self):
-        return iter((self.A, self.B, self.C))
-
-    def __eq__(self, other):
-        if not isinstance(other, TargetRoots):
-            return NotImplemented
-        return (self.A, self.B, self.C) == (other.A, other.B, other.C)
-
-    def __hash__(self):
-        return hash((self.A, self.B, self.C))
-
-    def __repr__(self):
-        return f"TargetRoots({self.A!r}, {self.B!r}, {self.C!r})"
-
-    def __str__(self):
-        return f"({format_elem(self.A)}, {format_elem(self.B)}, {format_elem(self.C)})"
-
-
-class VarietyPoint:
-    """Coordinate tuple ``(b_1..b_N, a_1..a_k)`` of a candidate type-``(N,k)`` PCF."""
-
-    __slots__ = ("coords", "n", "k")
-
-    def __init__(self, coords: Sequence, n: int, k: int):
-        coords = tuple(RingElem._wrap(c) for c in coords)
-        if k < 1 or n < 0 or len(coords) != n + k:
-            raise ValueError("need n >= 0, k >= 1 and n + k coordinates")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, *_):
-        raise AttributeError("VarietyPoint is immutable")
-
-    @classmethod
-    def of_pcf(cls, P: Pcf) -> "VarietyPoint":
-        return cls(P.pre + P.per, P.n, P.k)
-
-    def pcf(self) -> Pcf:
-        return Pcf(self.coords[: self.n], self.coords[self.n :])
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, VarietyPoint):
-            return NotImplemented
-        return (self.coords, self.n, self.k) == (other.coords, other.n, other.k)
-
-    def __hash__(self):
-        return hash((self.coords, self.n, self.k))
-
-    def __repr__(self):
-        return f"VarietyPoint({self.coords!r}, {self.n}, {self.k})"
-
-    def __str__(self):
-        return "(" + ", ".join(format_elem(c) for c in self.coords) + ")"
+def _tuple_text(coords: Sequence) -> str:
+    return "(" + ", ".join(format_elem(c) for c in coords) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +31,14 @@ class VarietyPoint:
 # ---------------------------------------------------------------------------
 
 
-def variety_residuals(T: TargetRoots, p: VarietyPoint) -> Tuple[RingElem, RingElem, RingElem]:
-    """Three defects whose simultaneous vanishing makes ``p`` a family member.
+def variety_residuals(T: QuadPoly, P: Pcf) -> Tuple[RingElem, RingElem, RingElem]:
+    """Three defects whose simultaneous vanishing makes ``P`` a family member.
 
     They are the pairwise cross-products of ``(A, B, C)`` against the
-    coefficients of the fixed-point quadratic of ``p``, so no scaling of the
+    coefficients of the fixed-point quadratic of ``P``, so no scaling of the
     target changes the zero set.
     """
-    E = e_matrix(p.pcf())
+    E = e_matrix(P)
     diag = E.e22 - E.e11
     r1 = T.A * diag - T.B * E.e21
     r2 = -T.A * E.e12 - T.C * E.e21
@@ -133,29 +46,31 @@ def variety_residuals(T: TargetRoots, p: VarietyPoint) -> Tuple[RingElem, RingEl
     return (r1, r2, r3)
 
 
-def is_member(T: TargetRoots, p: VarietyPoint) -> bool:
-    return not any(variety_residuals(T, p))
+def is_member(T: QuadPoly, P: Pcf) -> bool:
+    return not any(variety_residuals(T, P))
 
 
-def vnk_residuals(p: VarietyPoint) -> Tuple[RingElem, RingElem, RingElem]:
+def vnk_residuals(P: Pcf) -> Tuple[RingElem, RingElem, RingElem]:
     """Defects for the divergence locus shared by every target.
 
     The locus is where the period matrix alone is a multiple of the
     identity, so the prefix coordinates never enter.
     """
-    M = cf_matrix(p.coords[p.n :])
+    M = cf_matrix(P.per)
     return (M.e12, M.e21, M.e22 - M.e11)
 
 
-def fp_project(T: TargetRoots, p: VarietyPoint) -> Tuple[RingElem, RingElem]:
+def fp_project(T: QuadPoly, P: Pcf) -> Tuple[RingElem, RingElem]:
     """Image ``(E21, E22)`` of a member on the conic ``C x^2 - B xy + A y^2 = (-1)^k A``."""
-    if not is_member(T, p):
-        raise ValueError(f"{p} is not a member of the family {T}")
-    E = e_matrix(p.pcf())
+    if not is_member(T, P):
+        raise ValueError(
+            f"{_tuple_text(P.pre + P.per)} is not a member of the family {_tuple_text(T)}"
+        )
+    E = e_matrix(P)
     return (E.e21, E.e22)
 
 
-def fp_conic_residual(T: TargetRoots, k: int, xy: Tuple) -> RingElem:
+def fp_conic_residual(T: QuadPoly, k: int, xy: Tuple) -> RingElem:
     x = RingElem._wrap(xy[0])
     y = RingElem._wrap(xy[1])
     sign = -1 if k % 2 else 1
@@ -189,7 +104,7 @@ class SmallTypeSolution:
         return f"type {self.type_nk}: {body}{tag}"
 
 
-def solve_small_type(T: TargetRoots, type_nk: Tuple[int, int]) -> SmallTypeSolution:
+def solve_small_type(T: QuadPoly, type_nk: Tuple[int, int]) -> SmallTypeSolution:
     """Closed-form point sets for the three types with at most two coordinates.
 
     Points may live in a quadratic extension of the coefficient field; the
@@ -243,7 +158,7 @@ def solve_small_type(T: TargetRoots, type_nk: Tuple[int, int]) -> SmallTypeSolut
 # ---------------------------------------------------------------------------
 
 
-def param03(T: TargetRoots, R, S, t) -> Tuple[RingElem, RingElem, RingElem]:
+def param03(T: QuadPoly, R, S, t) -> Tuple[RingElem, RingElem, RingElem]:
     """Rational parametrization of the type ``(0,3)`` family.
 
     Requires a decomposition ``B^2 - 4AC = R^2 + S^2`` with the sum nonzero,
@@ -284,13 +199,13 @@ def param03(T: TargetRoots, R, S, t) -> Tuple[RingElem, RingElem, RingElem]:
 def param03_sqrt2(t) -> Tuple[RingElem, RingElem, RingElem]:
     """Specialization with roots ``+-sqrt(2)``, labeled so that ``t = 1, 2``
     give ``+-(3, -1, 2)`` and ``t = 0, INF`` give ``+-(1, 1, 0)``."""
-    T = TargetRoots(1, 0, -2)
+    T = QuadPoly(1, 0, -2)
     if t is INF:
         return param03(T, 2, -2, INF)
     return param03(T, 2, -2, RingElem._wrap(t) - 1)
 
 
-def plane03_residual(T: TargetRoots, x2, x3) -> RingElem:
+def plane03_residual(T: QuadPoly, x2, x3) -> RingElem:
     """Defect of the plane model the two trailing coordinates must satisfy.
 
     Eliminating the first coordinate from the type ``(0,3)`` system leaves
@@ -302,7 +217,7 @@ def plane03_residual(T: TargetRoots, x2, x3) -> RingElem:
     return T.A * (x2 * x2 + 1) - T.B * x2 * m + T.C * m * m
 
 
-def lift03(T: TargetRoots, x2, x3) -> RingElem:
+def lift03(T: QuadPoly, x2, x3) -> RingElem:
     """Recover the first coordinate from a plane-model point.
 
     Inverts ``-A (x1 x2 + 1) = C (x2 x3 + 1)``; fails when ``x2 = 0``.
@@ -321,12 +236,12 @@ def lift03(T: TargetRoots, x2, x3) -> RingElem:
 # ---------------------------------------------------------------------------
 
 
-def curve21_residual(T: TargetRoots, pt: Sequence) -> Tuple[RingElem, RingElem, RingElem]:
+def curve21_residual(T: QuadPoly, pt: Sequence) -> Tuple[RingElem, RingElem, RingElem]:
     """Membership defects of a coordinate triple ``(y1, y2, x1)`` at type ``(2,1)``."""
-    return variety_residuals(T, VarietyPoint(pt, 2, 1))
+    return variety_residuals(T, Pcf(pt[:2], pt[2:]))
 
 
-def curve21_quartic(T: TargetRoots, y1) -> RingElem:
+def curve21_quartic(T: QuadPoly, y1) -> RingElem:
     """Value that must be a perfect square for ``y1`` to extend to a point.
 
     Equals ``-4 (A y1^2 + B y1 + C)^2 + B^2 - 4AC``; a solution with first
@@ -342,7 +257,7 @@ def curve21_quartic(T: TargetRoots, y1) -> RingElem:
 # ---------------------------------------------------------------------------
 
 
-def curve12_residual(T: TargetRoots, y1, x1) -> RingElem:
+def curve12_residual(T: QuadPoly, y1, x1) -> RingElem:
     """Defect of the relation cutting out the interesting ``(1,2)`` component:
     ``(A y1^2 + B y1 + C) x1 + 2 A y1 + B = 0``."""
     y1 = RingElem._wrap(y1)
@@ -351,7 +266,7 @@ def curve12_residual(T: TargetRoots, y1, x1) -> RingElem:
     return g * x1 + 2 * T.A * y1 + T.B
 
 
-def curve12_point(T: TargetRoots, y1) -> Tuple[RingElem, RingElem, RingElem]:
+def curve12_point(T: QuadPoly, y1) -> Tuple[RingElem, RingElem, RingElem]:
     """Full coordinate triple ``(y1, x1, x2)`` over a first coordinate ``y1``."""
     y1 = RingElem._wrap(y1)
     g = T.A * y1 * y1 + T.B * y1 + T.C
@@ -435,9 +350,7 @@ def corr03_12(z1, z2, z3) -> Tuple[RingElem, RingElem]:
     """Push a type ``(0,3)`` point with roots ``+-sqrt(2 + sqrt(2))``
     down to a curve point ``(a, b) = ((z2 z3 + 1)/z2^2, -(2+w) z2^2)``."""
     pi = WU
-    T = TargetRoots(1, 0, -pi)
-    p = VarietyPoint((z1, z2, z3), 0, 3)
-    if any(variety_residuals(T, p)):
+    if not is_member(QuadPoly(1, 0, -pi), Pcf((), (z1, z2, z3))):
         raise ValueError("the triple does not lie in the (0,3) family")
     z2 = RingElem._wrap(z2)
     z3 = RingElem._wrap(z3)
@@ -470,9 +383,9 @@ def corr12_03(a, b) -> Tuple[Tuple[RingElem, RingElem, RingElem], ...]:
             z3 = (aa * z2 * z2 - 1) / z2
             z1 = (pi * (z2 * z3 + 1) - 1) / z2
             out.append((z1, z2, z3))
-    T = TargetRoots(1, 0, -pi)
+    T = QuadPoly(1, 0, -pi)
     for pt in out:
-        if any(variety_residuals(T, VarietyPoint(pt, 0, 3))):
+        if not is_member(T, Pcf((), pt)):
             raise AssertionError("correspondence preimage missed the family")
     return tuple(out)
 

@@ -7,7 +7,7 @@ from oracles import check_classification_agreement, random_det_pm1_matrix
 
 from pcflab.continuant import INF, Mat2
 from pcflab.converge import ELLIPTIC, INEQ, LOXODROMIC, rate, verdict
-from pcflab.pcf import Pcf, e_matrix, e_matrix_continuant_form, extend_type, g_multiplier, quad_poly
+from pcflab.pcf import Pcf, QuadPoly, e_matrix, e_matrix_continuant_form, extend_type, g_multiplier, quad_poly
 from pcflab.ring import RingElem, norm, val2
 from pcflab.search import (
     ALPHA2,
@@ -30,8 +30,6 @@ from pcflab.variety import (
     POINTS_X3_MINUS_4X,
     POINTS_X3_MINUS_X,
     POINTS_X_X2_XM1,
-    TargetRoots,
-    VarietyPoint,
     curve_x3_minus_4x,
     curve_x3_minus_x,
     curve_x_x2_xm1,
@@ -45,8 +43,8 @@ from pcflab.variety import (
     verify_curve_points,
 )
 
-T2 = TargetRoots(1, 0, -2)
-TSW = TargetRoots(RingElem(1, 0, 2), RingElem(0, 0, 2), -RingElem(2, 1, 2))
+T2 = QuadPoly(1, 0, -2)
+TSW = QuadPoly(RingElem(1, 0, 2), RingElem(0, 0, 2), -RingElem(2, 1, 2))
 W = RingElem(0, 1, 2)
 
 
@@ -235,23 +233,23 @@ def produced_points():
     """Every variety point exercised across the suite, with its target and period."""
     out = []
     for p in load_table(TableName.Z_03):
-        out.append((T2, 3, VarietyPoint(p, 0, 3)))
+        out.append((T2, 3, Pcf((), p)))
     for p in load_table(TableName.Z22_03):
-        out.append((TSW, 3, VarietyPoint(p, 0, 3)))
+        out.append((TSW, 3, Pcf((), p)))
     for p in load_table(TableName.Z_21):
-        out.append((T2, 1, VarietyPoint(p, 2, 1)))
+        out.append((T2, 1, Pcf(p[:2], p[2:])))
     for row in load_table(TableName.PCF_rinds):
         P = Pcf.parse(str(row))
-        out.append((TSW, 3, VarietyPoint(tuple(P.per), 0, 3)))
+        out.append((TSW, 3, Pcf((), tuple(P.per))))
     for row in load_table(TableName.PCF_pot):
         P = Pcf.parse(str(row))
-        out.append((TSW, 2, VarietyPoint(tuple(P.pre) + tuple(P.per), 1, 2)))
+        out.append((TSW, 2, Pcf(P.pre, P.per)))
     rng = random.Random(10033)
     for _ in range(60):
         t = Fraction(rng.randint(-25, 25), rng.randint(1, 7))
         got = param03(T2, RingElem(2), RingElem(-2), t)
         if got is not None:
-            out.append((T2, 3, VarietyPoint(got, 0, 3)))
+            out.append((T2, 3, Pcf((), got)))
     return out
 
 

@@ -94,6 +94,10 @@ def test_variety_check_exit_codes(capsys):
     assert rc == 2
     assert err
 
+    rc, _, err = run(capsys, *base, "--point", "1,1")
+    assert rc == 2
+    assert err
+
 
 def test_fp_project_non_member_is_math_error(capsys):
     base = ["fp", "project", "--type", "0,3", "--target", "1,0,-2"]
@@ -104,6 +108,10 @@ def test_fp_project_non_member_is_math_error(capsys):
     rc, out, err = run(capsys, *base, "--point", "1,1,1")
     assert rc == 1
     assert "math error" in err
+
+    rc, _, err = run(capsys, *base, "--point", "1,1")
+    assert rc == 2
+    assert err
 
 
 def test_search_table_codes(capsys):
@@ -145,6 +153,18 @@ def test_skolem_reports(capsys):
     rc, out, _ = run(capsys, "skolem", "l2", "--kmax", "20")
     assert rc == 0
     assert "{0, 1}" in out
+
+    for argv in (
+        ("rst", "--nmax", "-1"),
+        ("oryx", "--jmax", "-1"),
+        ("oryx", "--jmax", "0"),
+        ("l2", "--kmax", "-3"),
+        ("l2", "--kmax", "0"),
+    ):
+        rc, out, err = run(capsys, "skolem", *argv)
+        assert rc == 2
+        assert not out
+        assert "must be" in err
 
 
 def test_precision_flag_and_env(capsys, monkeypatch):

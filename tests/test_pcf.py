@@ -122,8 +122,8 @@ def test_quad_poly_basics():
 def test_roots_type_01():
     P = Pcf.parse("[; 2]")
     r = roots(P)
-    assert r.first == ExtElem(1, Fraction(1, 2), 8, 1)  # 1 + sqrt(2)
-    assert r.second == ExtElem(1, Fraction(-1, 2), 8, 1)
+    assert r[0] == ExtElem(1, Fraction(1, 2), 8, 1)  # 1 + sqrt(2)
+    assert r[1] == ExtElem(1, Fraction(-1, 2), 8, 1)
 
 
 def test_roots_are_roots():

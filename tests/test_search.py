@@ -2,9 +2,11 @@
 
 import pytest
 
+from pcflab import search
 from pcflab.ring import RingElem, norm
 from pcflab.search import (
     TableName,
+    _solve_z22_03,
     int_range,
     ljunggren_oracle,
     load_table,
@@ -75,6 +77,13 @@ def test_e_curve_split_prime():
 def test_e_curve_filters_are_sound():
     lazy = solve_e_curve(PI_SPLIT, kmax=12, use_filters=False)
     assert lazy == solve_e_curve(PI_SPLIT, kmax=12, use_filters=True)
+
+
+def test_z22_03_norm_one_filter_is_sound(monkeypatch):
+    filtered = _solve_z22_03(20)
+    assert len(filtered) == 16
+    monkeypatch.setattr(search, "_norm_one_cut", lambda b, norm_b: False)
+    assert _solve_z22_03(20) == filtered
 
 
 def test_e_curve_kmax_monotone():

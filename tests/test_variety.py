@@ -6,14 +6,12 @@ from fractions import Fraction
 import pytest
 
 from pcflab.continuant import INF
-from pcflab.pcf import Pcf
+from pcflab.pcf import Pcf, QuadPoly
 from pcflab.ring import RingElem, parse_elem, root
 from pcflab.variety import (
     POINTS_X3_MINUS_4X,
     POINTS_X3_MINUS_X,
     POINTS_X_X2_XM1,
-    TargetRoots,
-    VarietyPoint,
     corr03_12,
     corr12_03,
     curve12_point,
@@ -43,8 +41,8 @@ from pcflab.variety import (
 
 W = root(2)
 U = RingElem(1, 1, 2)
-T2 = TargetRoots(1, 0, -2)
-TSW = TargetRoots(RingElem(1, 0, 2), RingElem(0, 0, 2), -RingElem(2, 1, 2))
+T2 = QuadPoly(1, 0, -2)
+TSW = QuadPoly(RingElem(1, 0, 2), RingElem(0, 0, 2), -RingElem(2, 1, 2))
 
 ROWS_03 = [
     ("3-w", "1+w", "3-2*w"),
@@ -69,16 +67,16 @@ def sixteen_points():
 
 def test_z03_integer_solutions():
     for p in [(1, 1, 0), (-1, -1, 0), (3, -1, 2), (-3, 1, -2)]:
-        assert not any(variety_residuals(T2, VarietyPoint(p, 0, 3)))
-    assert is_member(T2, VarietyPoint((1, 1, 0), 0, 3))
-    assert not is_member(T2, VarietyPoint((1, 1, 1), 0, 3))
+        assert not any(variety_residuals(T2, Pcf((), p)))
+    assert is_member(T2, Pcf((), (1, 1, 0)))
+    assert not is_member(T2, Pcf((), (1, 1, 1)))
 
 
 def test_z22_03_sixteen_members():
     pts = sixteen_points()
     assert len(set(pts)) == 16
     for p in pts:
-        assert is_member(TSW, VarietyPoint(p, 0, 3))
+        assert is_member(TSW, Pcf((), p))
 
 
 def test_plane_model_and_lift():
@@ -88,14 +86,14 @@ def test_plane_model_and_lift():
 
 
 def test_fp_projection_conic():
-    fp = fp_project(T2, VarietyPoint((1, 1, 0), 0, 3))
+    fp = fp_project(T2, Pcf((), (1, 1, 0)))
     assert fp == (RingElem(1), RingElem(1))
     assert not fp_conic_residual(T2, 3, fp)
     for p in sixteen_points():
-        xy = fp_project(TSW, VarietyPoint(p, 0, 3))
+        xy = fp_project(TSW, Pcf((), p))
         assert not fp_conic_residual(TSW, 3, xy)
     with pytest.raises(ValueError):
-        fp_project(T2, VarietyPoint((1, 1, 1), 0, 3))
+        fp_project(T2, Pcf((), (1, 1, 1)))
 
 
 def test_small_types():
@@ -130,7 +128,7 @@ def test_param03_members():
         got = param03(T2, RingElem(2), RingElem(-2), t)
         if got is None:
             continue
-        assert is_member(T2, VarietyPoint(got, 0, 3))
+        assert is_member(T2, Pcf((), got))
         produced += 1
     assert produced > 90
 
@@ -138,7 +136,7 @@ def test_param03_members():
 def test_z21_quartic_model():
     pts = [(1, 0, -2), (-1, -2, -2), (1, 2, 2), (-1, 0, 2)]
     for p in pts:
-        assert is_member(T2, VarietyPoint(p, 2, 1))
+        assert is_member(T2, Pcf(p[:2], p[2:]))
         assert not any(curve21_residual(T2, p))
     assert curve21_quartic(T2, RingElem(1)) == RingElem(4)
     assert curve21_quartic(T2, RingElem(-1)) == RingElem(4)
@@ -185,7 +183,7 @@ def test_correspondence_round_trip():
     assert len(back) == 4
     assert z in back
     for t in back:
-        assert is_member(TSW, VarietyPoint(t, 0, 3))
+        assert is_member(TSW, Pcf((), t))
 
 
 def test_correspondence_all_table_points():
@@ -194,7 +192,7 @@ def test_correspondence_all_table_points():
         back = corr12_03(*ab)
         assert p in back
         for t in back:
-            assert is_member(TSW, VarietyPoint(t, 0, 3))
+            assert is_member(TSW, Pcf((), t))
 
 
 def test_elliptic_curve_point_lists():
@@ -209,7 +207,7 @@ def test_elliptic_curve_point_lists():
 
 
 def test_vnk_residuals_detect_honest_period():
-    assert any(vnk_residuals(VarietyPoint((1, 1, 0), 0, 3)))
+    assert any(vnk_residuals(Pcf((), (1, 1, 0))))
 
 
 def test_pcf_round_trip_through_tables():
