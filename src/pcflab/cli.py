@@ -123,7 +123,7 @@ def _emit_pcf_result(P: Pcf, cfg: CliConfig, heading: str) -> int:
         if v.reason == PARABOLIC:
             print("rate: sub-exponential (tangent case)")
         else:
-            r = rate(P)
+            r = rate(P, v=v)
             print(
                 f"rate: ~{float(r.convergents_per_digit.mid):.6g} convergents per digit"
                 f" (|eigenvalue| ~ {float(r.eigen_abs.mid):.6g})"
@@ -217,6 +217,15 @@ def cmd_fp_project(args, cfg: CliConfig) -> int:
             xy = fp_project(T, P)
         except ValueError as exc:
             print(f"math error: {exc}", file=sys.stderr)
+            if cfg.format == "json-lines":
+                _print_record(
+                    {
+                        "coords": [format_elem(c) for c in coords],
+                        "residuals": None,
+                        "verdict": "non-member",
+                        "value_decimal": None,
+                    }
+                )
             all_on = False
             continue
         r = fp_conic_residual(T, k, xy)

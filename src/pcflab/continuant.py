@@ -69,11 +69,15 @@ class Mat2:
     def trace(self) -> RingElem:
         return self.e11 + self.e22
 
+    def adjugate(self) -> "Mat2":
+        """``det * inverse``, formed without any division."""
+        return Mat2(self.e22, -self.e12, -self.e21, self.e11)
+
     def inverse(self) -> "Mat2":
         dt = self.det()
         if not dt:
             raise ZeroDivisionError("singular matrix")
-        return Mat2(self.e22 / dt, -self.e12 / dt, -self.e21 / dt, self.e11 / dt)
+        return Mat2(*(e / dt for e in self.adjugate().entries()))
 
     def __pow__(self, k: int) -> "Mat2":
         if not isinstance(k, int):

@@ -195,13 +195,16 @@ class RateResult:
         )
 
 
-def rate(P: Pcf, digits: int = 12) -> RateResult:
+def rate(P: Pcf, digits: int = 12, *, v: Optional[Verdict] = None) -> RateResult:
     """Convergents needed per certified decimal digit, and ``|eigenvalue|``.
 
     Only meaningful for a convergent PCF; the tangent (double-root) case has
     no exponential rate and comes back flagged instead of with numbers.
+    A caller that already holds ``verdict(P)`` passes it as ``v`` so that the
+    decision is not made twice.
     """
-    v = verdict(P)
+    if v is None:
+        v = verdict(P)
     if not v.converges:
         raise ValueError(f"{P} diverges ({v.reason}); it has no convergence rate")
     if v.reason == PARABOLIC:

@@ -138,12 +138,17 @@ class QuadPoly:
 
 
 def e_matrix(P: Pcf) -> Mat2:
-    """``M(prefix) * M(period) * M(prefix)^-1``; determinant is (-1)^k."""
+    """``M(prefix) * M(period) * M(prefix)^-1``; determinant is (-1)^k.
+
+    ``M(prefix)`` has determinant ``(-1)^N``, so its inverse is its adjugate
+    times ``(-1)^N`` and no entry is ever divided.
+    """
     per = cf_matrix(P.per)
     if not P.pre:
         return per
     pre = cf_matrix(P.pre)
-    return pre * per * pre.inverse()
+    E = pre * per * pre.adjugate()
+    return -E if P.n % 2 else E
 
 
 def e_matrix_continuant_form(P: Pcf) -> Mat2:

@@ -4,7 +4,10 @@ Two element types:
 
 * :class:`RingElem` -- ``a + b*sqrt(d)`` with exact rational ``a, b`` and a
   squarefree ``d >= 2``.  Plain rationals are the degenerate case ``b == 0``
-  (then ``d`` is dropped, so ``RingElem(3, 0, 2) == RingElem(3)``).
+  (then ``d`` is dropped, so ``RingElem(3, 0, 2) == RingElem(3)``).  A
+  coordinate is an ``int`` when integral and a ``Fraction`` only when its
+  denominator is not 1; every true quotient is formed with ``Fraction``, so
+  no ``int / int`` ever makes a float.
 * :class:`ExtElem` -- ``x + y*v`` with ``v*v == theta`` for a non-square
   ``theta`` from the base field, plus an embedding sign selecting the real
   branch ``v > 0`` or ``v < 0``.
@@ -38,12 +41,12 @@ def squarefree(d: int) -> bool:
     return True
 
 
-def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
+def _rat_sqrt(q: Rat) -> Optional[Rat]:
     """Exact square root of a rational, or None."""
     if q < 0:
         return None
     if q == 0:
-        return Fraction(0)
+        return 0
     n, m = q.numerator, q.denominator
     rn, rm = math.isqrt(n), math.isqrt(m)
     if rn * rn == n and rm * rm == m:
@@ -51,7 +54,7 @@ def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _sgn(q: Fraction) -> int:
+def _sgn(q: Rat) -> int:
     return (q > 0) - (q < 0)
 
 
@@ -60,6 +63,14 @@ def exact_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"float {x!r} is inexact; pass an int, a Fraction or a string")
     return Fraction(x)
+
+
+def _coord(x) -> Rat:
+    """The stored form of a coordinate: an ``int``, or a ``Fraction`` that is not integral."""
+    if type(x) is int:
+        return x
+    x = exact_fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def ambient_d_of(*elems) -> Optional[int]:
@@ -91,13 +102,17 @@ def power(x, k: int, one):
 
 
 class RingElem:
-    """``a + b*sqrt(d)`` with exact rational coordinates."""
+    """``a + b*sqrt(d)`` with exact rational coordinates.
+
+    A coordinate is an ``int`` or a ``Fraction`` whose denominator is not 1,
+    never a float: one stored form per value.
+    """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rat = 0, b: Rat = 0, d: Optional[int] = None):
-        a = exact_fraction(a)
-        b = exact_fraction(b)
+        a = _coord(a)
+        b = _coord(b)
         if b == 0:
             d = None
         elif d is None:
@@ -174,7 +189,7 @@ class RingElem:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero ring element")
-        return RingElem(self.a / n, -self.b / n, self.d)
+        return RingElem(Fraction(self.a, n), Fraction(-self.b, n), self.d)
 
     def __truediv__(self, other):
         if isinstance(other, ExtElem):
@@ -233,7 +248,7 @@ class RingElem:
 
     # -- field/ring operations -------------------------------------------
 
-    def norm(self) -> Fraction:
+    def norm(self) -> Rat:
         """Field norm down to the rationals (``a*a - d*b*b``)."""
         if self.d is None:
             return self.a * self.a
@@ -242,7 +257,7 @@ class RingElem:
     def conjugate(self) -> "RingElem":
         return RingElem(self.a, -self.b, self.d)
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Rat:
         return 2 * self.a
 
     def sign_under_embedding(self) -> int:
@@ -277,7 +292,7 @@ WU = RingElem(2, 1, 2)
 
 
 # module-level aliases mirroring the method names, convenient for mapping
-def norm(e) -> Fraction:
+def norm(e) -> Rat:
     return RingElem._wrap(e).norm()
 
 
@@ -308,19 +323,19 @@ def sqrt_in_ring(e, d: Optional[int] = None) -> Optional[RingElem]:
     s = _rat_sqrt(e.norm())
     if s is None:
         return None
-    for t in ((e.a + s) / 2, (e.a - s) / 2):
+    for t in (Fraction(e.a + s, 2), Fraction(e.a - s, 2)):
         x0 = _rat_sqrt(t)
         if x0 is None:
             continue
         if x0 == 0:
             if e.b != 0:
                 continue
-            y0 = _rat_sqrt(e.a / amb)
+            y0 = _rat_sqrt(Fraction(e.a, amb))
             if y0 is None:
                 continue
             r = RingElem(0, y0, amb)
         else:
-            r = RingElem(x0, e.b / (2 * x0), amb)
+            r = RingElem(x0, Fraction(e.b, 2 * x0), amb)
         if r * r == e:
             return r if r.sign_under_embedding() >= 0 else -r
     return None
@@ -523,7 +538,7 @@ def val2_int(n: int):
     return (n & -n).bit_length() - 1
 
 
-def _val2_fraction(q: Fraction):
+def _val2_fraction(q: Rat):
     if q == 0:
         return math.inf
     return Fraction(val2_int(q.numerator) - val2_int(q.denominator))

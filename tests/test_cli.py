@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pcflab import cli, converge
 from pcflab.cli import main
 from pcflab.pcf import Pcf, dual
 
@@ -70,6 +71,22 @@ def test_eval_big_solution_rate(capsys):
     assert "~550.3" in out
 
 
+def test_eval_decides_convergence_once(capsys, monkeypatch):
+    calls = []
+    decide = converge.verdict
+
+    def counted(P):
+        calls.append(P)
+        return decide(P)
+
+    monkeypatch.setattr(cli, "verdict", counted)
+    monkeypatch.setattr(converge, "verdict", counted)
+    rc, out, _ = run(capsys, "eval", "[1;2]")
+    assert rc == 0
+    assert "convergents per digit" in out
+    assert len(calls) == 1
+
+
 def test_dual_swaps_root(capsys):
     rc, out, _ = run(capsys, "dual", "[1;2]")
     assert rc == 0
@@ -112,6 +129,22 @@ def test_fp_project_non_member_is_math_error(capsys):
     rc, _, err = run(capsys, *base, "--point", "1,1")
     assert rc == 2
     assert err
+
+
+def test_fp_project_json_lines_keeps_non_members(capsys):
+    # one record per submitted point, in order, as variety check does
+    base = ["--format", "json-lines", "fp", "project", "--type", "0,3", "--target", "1,0,-2"]
+    rc, out, err = run(capsys, *base, "--point", "1,1,0", "--point", "1,1,1")
+    assert rc == 1
+    assert "math error" in err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["verdict"] for r in records] == ["on-conic", "non-member"]
+    assert records[1] == {
+        "coords": ["1", "1", "1"],
+        "residuals": None,
+        "value_decimal": None,
+        "verdict": "non-member",
+    }
 
 
 def test_search_table_codes(capsys):

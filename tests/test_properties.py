@@ -1,11 +1,15 @@
 """Property tests: two independent routes to the same answer."""
 
+from fractions import Fraction
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pcflab.pcf import Pcf, QuadPoly, e_matrix_continuant_form
-from pcflab.ring import RingElem
+from pcflab.pcf import Pcf, QuadPoly, e_matrix, e_matrix_continuant_form
+from pcflab.ring import RingElem, sqrt_in_ring
 from pcflab.variety import is_member
+
+DERANDOMIZED = settings(max_examples=400, deadline=None, database=None, derandomize=True)
 
 zw = st.builds(lambda a, b: RingElem(a, b, 2), st.integers(-9, 9), st.integers(-9, 9))
 pcfs = st.builds(
@@ -15,14 +19,145 @@ pcfs = st.builds(
 )
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@DERANDOMIZED
 @given(pcfs)
 def test_family_membership_matches_continuant_form(P):
-    # the continuant form never inverts a matrix, unlike the e_matrix that
-    # variety_residuals reads, so the two routes share no code past continuants
+    # the continuant form reads one glued word and never conjugates by
+    # M(prefix), unlike the e_matrix that variety_residuals reads, so the two
+    # routes share no code past continuants
     E = e_matrix_continuant_form(P)
     assume(not E.is_identity_multiple())
     A, B, C = E.e21, E.e22 - E.e11, -E.e12
     assert is_member(QuadPoly(A, B, C), P)
     if A:
         assert not is_member(QuadPoly(A, B, C + A), P)
+
+
+# -- the int fast path of RingElem against an all-Fraction reference ---------
+#
+# A reference element is a pair of Fractions (a, b) standing for a + b*sqrt(d),
+# with d = 0 for the rationals; every reference operation stays in Fractions.
+
+rats = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+)
+q_elems = st.builds(RingElem, rats)
+q2_elems = st.builds(lambda a, b: RingElem(a, b, 2), rats, rats)
+same_field_pairs = st.one_of(
+    st.tuples(st.just(0), q_elems, q_elems),
+    st.tuples(st.just(2), q2_elems, q2_elems),
+)
+
+
+def ref(e):
+    return (Fraction(e.a), Fraction(e.b))
+
+
+def ref_mul(x, y, d):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_norm(x, d):
+    return x[0] * x[0] - d * x[1] * x[1]
+
+
+def ref_inverse(x, d):
+    n = ref_norm(x, d)
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_sign(x, d):
+    a, b = x
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa or sb
+    if sa == 0:
+        return sb
+    return sa * ((a * a > d * b * b) - (a * a < d * b * b))
+
+
+def ref_nonnegative(x, d):
+    return x if ref_sign(x, d) >= 0 else (-x[0], -x[1])
+
+
+def assert_canonical(e):
+    # one stored form per value, never a float
+    for c in (e.a, e.b):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (e, c)
+
+
+def assert_matches(e, expected):
+    assert_canonical(e)
+    assert (e.a, e.b) == expected
+
+
+OPS = ("add", "sub", "mul", "div", "inverse", "norm", "conjugate", "pow", "sqrt")
+
+
+@DERANDOMIZED
+@given(same_field_pairs, st.sampled_from(OPS), st.integers(-3, 3))
+def test_int_fast_path_matches_fraction_reference(pair, op, k):
+    d, x, y = pair
+    rx, ry = ref(x), ref(y)
+    assert_canonical(x)
+    if op == "add":
+        assert_matches(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+    elif op == "sub":
+        assert_matches(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+    elif op == "mul":
+        assert_matches(x * y, ref_mul(rx, ry, d))
+    elif op == "div":
+        assume(y)
+        assert_matches(x / y, ref_mul(rx, ref_inverse(ry, d), d))
+    elif op == "inverse":
+        assume(x)
+        assert_matches(x.inverse(), ref_inverse(rx, d))
+    elif op == "norm":
+        n = x.norm()
+        assert type(n) is int or n.denominator != 1
+        assert n == ref_norm(rx, d)
+    elif op == "conjugate":
+        assert_matches(x.conjugate(), (rx[0], -rx[1]))
+    elif op == "pow":
+        assume(x or k >= 0)
+        base = rx if k >= 0 else ref_inverse(rx, d)
+        expected = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            expected = ref_mul(expected, base, d)
+        assert_matches(x ** k, expected)
+    else:
+        # x*x is a square with root +-x, and 2*x*x one in Q(sqrt 2) with root
+        # +-x*sqrt(2); the nonnegative root comes back.  -x*x - 1 is negative,
+        # so it is no square.
+        assert_matches(sqrt_in_ring(x * x, d or None), ref_nonnegative(rx, d))
+        x_w = (2 * rx[1], rx[0])
+        assert_matches(sqrt_in_ring(2 * x * x, 2), ref_nonnegative(x_w, 2))
+        assert sqrt_in_ring(-x * x - 1, d or None) is None
+
+
+def test_integral_values_have_one_stored_form():
+    three = RingElem(3)
+    assert type(three.a) is int
+    for same in (RingElem(Fraction(3)), RingElem(Fraction(6, 2)), RingElem("3")):
+        assert_canonical(same)
+        assert same == three and hash(same) == hash(three)
+    e = RingElem(Fraction(4, 2), Fraction(-10, 5), 2)
+    assert (type(e.a), type(e.b)) == (int, int)
+    assert e == RingElem(2, -2, 2) and hash(e) == hash(RingElem(2, -2, 2))
+    half = RingElem(1, 1, 2) / 2
+    assert half.a == Fraction(1, 2) and type(half.a) is Fraction
+
+
+qw = st.builds(
+    lambda a, b: RingElem(a, b, 2),
+    st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=3)),
+    st.integers(-3, 3),
+)
+
+
+@DERANDOMIZED
+@given(st.lists(qw, min_size=1, max_size=4), st.lists(qw, min_size=1, max_size=3))
+def test_e_matrix_matches_continuant_form(pre, per):
+    P = Pcf(pre, per)
+    assert e_matrix(P) == e_matrix_continuant_form(P)
