@@ -10,6 +10,7 @@ match), 1 for a mathematical negative, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -414,9 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parsing leaves it unchanged
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         precision = args.precision
         if precision is None:

@@ -8,7 +8,7 @@ an honest projective point here, carried by the ``INF`` singleton.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 from .ring import ExtElem, RingElem, power
 
@@ -35,7 +35,7 @@ class _ProjectiveInfinity:
 
 INF = _ProjectiveInfinity()
 
-Value = Union[RingElem, ExtElem, _ProjectiveInfinity]
+Value = RingElem | ExtElem | _ProjectiveInfinity
 
 
 class Mat2:

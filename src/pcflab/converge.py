@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .continuant import INF, Mat2, Value, cf_matrix, finite_cf_value
-from .intervals import Interval, log10_interval, value_interval
+from .intervals import Interval, log10_interval, refine, value_interval
 from .pcf import Pcf, e_matrix, quad_poly_of_matrix, quad_roots
 from .ring import ExtElem, RingElem, ambient_d_of, sign_under_embedding
 
@@ -200,6 +200,10 @@ def rate(P: Pcf, digits: int = 12, *, v: Optional[Verdict] = None) -> RateResult
 
     Only meaningful for a convergent PCF; the tangent (double-root) case has
     no exponential rate and comes back flagged instead of with numbers.
+    The working precision starts at ``digits + 8`` and doubles until
+    ``convergents_per_digit`` is certified to a relative width of
+    ``10**-digits``, which takes more than one pass only when ``|lam|`` is
+    close to 1.
     A caller that already holds ``verdict(P)`` passes it as ``v`` so that the
     decision is not made twice.
     """
@@ -211,9 +215,22 @@ def rate(P: Pcf, digits: int = 12, *, v: Optional[Verdict] = None) -> RateResult
         return RateResult(parabolic=True, precision=digits)
     lam = v.eigenvalue
     sgn = sign_under_embedding(lam)
-    iv = value_interval(lam, digits + 8)
-    if sgn < 0:
-        iv = -iv
-    lg = log10_interval(iv, digits + 8)
-    cpd = Fraction(P.k, 2) / lg
-    return RateResult(parabolic=False, eigen_abs=iv, convergents_per_digit=cpd, precision=digits)
+    target = Fraction(1, 10 ** digits)
+
+    def attempt(work):
+        # |lam| close to 1 makes log10|lam| tiny, so a fixed absolute
+        # precision can leave it unsigned or too wide relative to itself
+        iv = value_interval(lam, work)
+        if sgn < 0:
+            iv = -iv
+        lg = log10_interval(iv, work)
+        if lg.lo <= 0:
+            return None
+        cpd = Fraction(P.k, 2) / lg
+        if cpd.width > target * cpd.lo:
+            return None
+        return RateResult(
+            parabolic=False, eigen_abs=iv, convergents_per_digit=cpd, precision=digits
+        )
+
+    return refine(attempt, digits + 8)

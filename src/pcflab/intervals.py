@@ -2,9 +2,10 @@
 
 Decision logic elsewhere never relies on this module; it exists so that
 decimal output and logarithmic growth rates can be printed with every shown
-digit guaranteed.  Endpoints are exact Fractions, square roots come from
-integer isqrt bounds, and logarithms from atanh series with explicit tail
-bounds.
+digit guaranteed.  Endpoints are exact Fractions and square roots come from
+integer isqrt bounds.  Logarithms sum atanh series on fixed-point Python ints
+with directed rounding: one sum rounded down, one rounded up plus an explicit
+tail bound.  The decimal refinements share one precision-doubling loop.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
 
 from .ring import ExtElem, RingElem, exact_fraction
 
-Number = Union[int, Fraction, RingElem, ExtElem]
+Number = int | Fraction | RingElem | ExtElem
 
 
 class Interval:
@@ -126,7 +126,11 @@ def elem_interval(x: Number, prec_bits: int = 96) -> Interval:
     if isinstance(x, ExtElem):
         th = elem_interval(x.theta, prec_bits)
         if th.lo < 0:
-            raise ValueError("cannot enclose a non-real value")
+            # cancellation can push the enclosure of a tiny positive theta
+            # below 0; only the exact sign decides that x is not real
+            if x.theta.sign_under_embedding() < 0:
+                raise ValueError("cannot enclose a non-real value")
+            th = Interval(0, th.hi)
         v = _sqrt_of_interval(th, prec_bits)
         if x.branch < 0:
             v = -v
@@ -137,90 +141,176 @@ def elem_interval(x: Number, prec_bits: int = 96) -> Interval:
     return Interval(e.a) + Interval(e.b) * sqrt_interval(Fraction(e.d), prec_bits)
 
 
-def value_interval(x: Number, digits: int) -> Interval:
-    """Enclosure of width below 10**-(digits+2)."""
-    target = Fraction(1, 10 ** (digits + 2))
-    prec = 32 + 4 * digits
+def refine(attempt, prec: int):
+    """First result of ``attempt(prec)`` that is not None, doubling ``prec``.
+
+    Gives up with ``ArithmeticError`` after 24 tries.
+    """
     for _ in range(24):
-        iv = elem_interval(x, prec)
-        if iv.width < target:
-            return iv
+        out = attempt(prec)
+        if out is not None:
+            return out
         prec *= 2
     raise ArithmeticError("interval refinement failed to converge")
 
 
+def value_interval(x: Number, digits: int) -> Interval:
+    """Enclosure of width below 10**-(digits+2)."""
+    target = Fraction(1, 10 ** (digits + 2))
+
+    def attempt(prec):
+        iv = elem_interval(x, prec)
+        return iv if iv.width < target else None
+
+    return refine(attempt, 32 + 4 * digits)
+
+
 # ---------------------------------------------------------------------------
 # certified logarithms
+#
+# Everything below runs on Python ints at a binary scale 2^P: a pair (L, H)
+# of ints stands for the enclosure [L/2^P, H/2^P].  Every quantity the series
+# touches is nonnegative, so rounding each product and quotient down gives a
+# lower bound and rounding it up gives an upper bound, with no per-operation
+# error analysis (Brent and Zimmermann, Modern Computer Arithmetic, 2010, 4).
 
 
-def _atanh_interval(t: Fraction, eps: Fraction) -> Interval:
-    """Enclosure of atanh(t) for |t| < 1/2, tail bounded explicitly."""
-    if not abs(t) < Fraction(1, 2):
-        raise ValueError("atanh argument out of the reduced range")
-    total = Fraction(0)
-    power = t
-    t2 = t * t
-    n = 0
-    while True:
-        term = power / (2 * n + 1)
-        total += term
-        n += 1
-        power *= t2
-        # tail: sum_{m>=n} |t|^(2m+1)/(2m+1) <= |t|^(2n+1)/((2n+1)(1-t^2))
-        tail = abs(power) / ((2 * n + 1) * (1 - t2))
-        if tail < eps:
-            return Interval(total - tail, total + tail)
-        if n > 10000:
-            raise ArithmeticError("atanh series did not reach the tolerance")
+def _atanh_bounds(s: int, m: int, P: int, stop: int) -> tuple[int, int]:
+    """Ints ``(L, H)`` with ``L <= atanh(s/m) * 2^P <= H``, for ``0 <= s/m <= 1/2``.
+
+    The argument is rounded outward to ``x_lo = T_lo/2^P <= s/m <= T_hi/2^P
+    = x_hi``; atanh is increasing, so it suffices to bound ``atanh(x_lo)``
+    from below and ``atanh(x_hi)`` from above.  Both sums run over the same
+    terms ``x^(2n+1)/(2n+1)``, all nonnegative:
+
+    * the lower sum floors ``x_lo^2`` and every power and quotient, so each
+      term, and so each partial sum, is at most the exact one, which is at
+      most ``atanh(x_lo)``;
+    * the upper sum ceils ``x_hi^2`` and every power and quotient, so each
+      term is at least the exact one, and after the last term it adds the
+      tail ``sum_{m>=n} x^(2m+1)/(2m+1) <= x^(2n+1)/((2n+1)(1-x^2))
+      <= (4/3) x^(2n+1)/(2n+1)``, since ``x_hi <= 1/2``.
+
+    The series stops once the scaled power ``x_hi^(2n+1) 2^P`` is at most
+    ``2^stop``, so the tail is below ``2^(stop+1)`` ulps.  Since
+    ``x^2 <= 1/4``, the rounding error of the powers stays below 2 ulps, so
+    each term adds at most 3 ulps of rounding on each side.
+    """
+    t_lo = (s << P) // m
+    t_hi = -((-s << P) // m)
+    sq_lo = (t_lo * t_lo) >> P
+    sq_hi = -((-t_hi * t_hi) >> P)
+    lo = hi = 0
+    p, q, n = t_lo, t_hi, 1
+    while q > 1 << stop:
+        lo += p // n
+        hi += -(-q // n)
+        p = (p * sq_lo) >> P
+        q = -((-q * sq_hi) >> P)
+        n += 2
+    return lo, hi - (-4 * q // (3 * n))
 
 
+# "ln2" and "ln10" -> (P, lo, hi): one enclosure each, at the highest P so far
 _LN_CACHE: dict = {}
 
 
-def _ln2_interval(eps: Fraction) -> Interval:
-    key = ("ln2", eps)
-    if key not in _LN_CACHE:
-        _LN_CACHE[key] = 2 * _atanh_interval(Fraction(1, 3), eps / 4)
-    return _LN_CACHE[key]
+def _ln_constants(P: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Scaled bounds ``((ln2_lo, ln2_hi), (ln10_lo, ln10_hi))`` at ``2^P``.
+
+    ln 2 = 2 atanh(1/3) and ln 10 = 3 ln 2 + 2 atanh(1/9), since
+    ln(5/4) = 2 atanh(1/9).  Both are summed once to the last ulp, at
+    ``P`` plus enough guard bits that the rounding slack of the sums stays
+    under an ulp of ``2^P``, and cached.  A request at a smaller ``P`` shifts
+    the cached ints: a floor shift of a lower bound and a ceiling shift of
+    an upper bound stay bounds.
+    """
+    hit = _LN_CACHE.get("ln2")
+    if hit is None or hit[0] < P:
+        bits = P + P.bit_length() + 4
+        a_lo, a_hi = _atanh_bounds(1, 3, bits, 0)
+        b_lo, b_hi = _atanh_bounds(1, 9, bits, 0)
+        _LN_CACHE["ln2"] = (bits, 2 * a_lo, 2 * a_hi)
+        _LN_CACHE["ln10"] = (bits, 6 * a_lo + 2 * b_lo, 6 * a_hi + 2 * b_hi)
+
+    def shifted(key):
+        bits, lo, hi = _LN_CACHE[key]
+        return lo >> (bits - P), -((-hi) >> (bits - P))
+
+    return shifted("ln2"), shifted("ln10")
 
 
-def _ln10_interval(eps: Fraction) -> Interval:
-    # ln 10 = 3 ln 2 + ln(10/8), and ln(5/4) = 2 atanh(1/9)
-    key = ("ln10", eps)
-    if key not in _LN_CACHE:
-        _LN_CACHE[key] = 3 * _ln2_interval(eps / 8) + 2 * _atanh_interval(
-            Fraction(1, 9), eps / 8
-        )
-    return _LN_CACHE[key]
+def _reduce(q: Fraction) -> tuple[int, int, int]:
+    """``(s, m, e)`` with ``q = 2^e (m + s)/(m - s)`` and ``|s|/m < 1/5``.
 
-
-def _ln_fraction(q: Fraction, eps: Fraction) -> Interval:
-    """Enclosure of ln(q) for rational q > 0."""
-    if q <= 0:
-        raise ValueError("log of a nonpositive number")
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    f = q / Fraction(2) ** e
-    # pull f into [3/4, 3/2) so the atanh argument stays small
-    if f >= Fraction(3, 2):
-        f /= 2
+    ``f = q / 2^e`` is pulled into ``[3/4, 3/2)`` exactly, and
+    ``t = s/m = (f - 1)/(f + 1)``, so ``ln q = 2 atanh(t) + e ln 2``.
+    """
+    num, den = q.numerator, q.denominator
+    e = num.bit_length() - den.bit_length()
+    if e >= 0:
+        den <<= e
+    else:
+        num <<= -e
+    if 2 * num >= 3 * den:
+        den <<= 1
         e += 1
-    elif f < Fraction(3, 4):
-        f *= 2
+    elif 4 * num < 3 * den:
+        num <<= 1
         e -= 1
-    t = (f - 1) / (f + 1)
-    ln_f = 2 * _atanh_interval(t, eps / 4)
-    return ln_f + e * _ln2_interval(eps / (4 * max(1, abs(e))))
+    return num - den, num + den, e
+
+
+def _ln_bounds(
+    reduced: tuple[int, int, int], P: int, stop: int, ln2: tuple[int, int]
+) -> tuple[int, int]:
+    """Scaled bounds on ``ln(2^e (m + s)/(m - s)) = 2 atanh(s/m) + e ln 2``.
+
+    ``reduced`` is ``(s, m, e)`` from ``_reduce``.  atanh is odd, so a
+    negative ``s`` takes ``-atanh(|s|/m)``: the series only ever sees a
+    nonnegative argument.  ``e ln 2`` takes the lower or upper bound of
+    ln 2 by the sign of ``e``.
+    """
+    s, m, e = reduced
+    lo, hi = _atanh_bounds(abs(s), m, P, stop)
+    if s < 0:
+        lo, hi = -hi, -lo
+    l2_lo, l2_hi = ln2 if e >= 0 else ln2[::-1]
+    return 2 * lo + e * l2_lo, 2 * hi + e * l2_hi
 
 
 def log10_interval(iv: Interval, digits: int = 30) -> Interval:
-    """Enclosure of log10 over a positive interval."""
+    """Enclosure of log10 over a positive interval.
+
+    The width is at most ``10**-(digits+4)`` plus the width of
+    ``log10(iv)`` itself.  With ``e`` the larger binary exponent of the two
+    endpoints:
+
+    * ``2^-W <= 10**-(digits+4)``;
+    * each atanh series stops once its tail is below ``2^-(W+g-1)``, where
+      the ``g = bit_length(|e|) + 4`` guard bits absorb the factor 2 of
+      ``2 atanh`` and the factor ``|e|`` by which ``e ln 2`` multiplies the
+      width of ln 2;
+    * the scale ``P`` adds ``bit_length(W+g) + 4`` bits, so the rounding of
+      the at most ``P/2`` terms, 6 ulps each, stays below ``2^-(W+g+1)``.
+
+    So each endpoint's ln is known to within ``2^-(W+1)``, and ln 10 > 2.
+    The quotient by ln 10 is rounded outward: a floor over the bound of
+    ln 10 that makes the quotient smallest, a ceiling over the one that
+    makes it largest.
+    """
     if iv.lo <= 0:
         raise ValueError("log of an interval touching zero")
-    eps = Fraction(1, 10 ** (digits + 4))
-    lo = _ln_fraction(iv.lo, eps)
-    hi = _ln_fraction(iv.hi, eps)
-    ln10 = _ln10_interval(eps)
-    return Interval((lo / ln10).lo, (hi / ln10).hi)
+    ends = (_reduce(iv.lo), _reduce(iv.hi))
+    W = -(-(digits + 4) * 3322 // 1000)  # 3.322 > log2(10)
+    g = max(abs(e) for _, _, e in ends).bit_length() + 4
+    P = W + g + (W + g).bit_length() + 4
+    ln2, (l10_lo, l10_hi) = _ln_constants(P)
+    ln_lo = _ln_bounds(ends[0], P, P - W - g, ln2)[0]
+    ln_hi = _ln_bounds(ends[1], P, P - W - g, ln2)[1]
+    lo = (ln_lo << P) // (l10_hi if ln_lo >= 0 else l10_lo)
+    hi = -((-ln_hi << P) // (l10_lo if ln_hi >= 0 else l10_hi))
+    return Interval(Fraction(lo, 1 << P), Fraction(hi, 1 << P))
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +339,15 @@ def decimal_str(x: Number, digits: int) -> str:
         q = x.a if isinstance(x, RingElem) else Fraction(x)
         return format_scaled(_round_scaled(q, 10 ** digits), digits)
     scale = 10 ** digits
-    prec = 32 + 4 * digits
-    for _ in range(24):
+
+    def attempt(prec):
         iv = elem_interval(x, prec)
         rlo = _round_scaled(iv.lo, scale)
-        if rlo == _round_scaled(iv.hi, scale):
-            return format_scaled(rlo, digits)
-        prec *= 2
-    # only a value on a rounding boundary gets here, and an irrational value
-    # cannot sit on one
-    raise ArithmeticError("could not certify the rounded digits")
+        return rlo if rlo == _round_scaled(iv.hi, scale) else None
+
+    # only a value on a rounding boundary never settles, and an irrational
+    # value cannot sit on one
+    return format_scaled(refine(attempt, 32 + 4 * digits), digits)
 
 
 def interval_decimal_str(iv: Interval, digits: int) -> str:

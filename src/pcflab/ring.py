@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 def squarefree(d: int) -> bool:

@@ -13,13 +13,13 @@ cubic curves that show up along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
 from .continuant import INF, cf_matrix
 from .pcf import Pcf, QuadPoly, e_matrix
 from .ring import W, WU, ExtElem, RingElem, ambient_d_of, conjugate, format_elem, sqrt_in_ring
 
-Coord = Union[RingElem, ExtElem]
+Coord = RingElem | ExtElem
 
 
 def _tuple_text(coords: Sequence) -> str:

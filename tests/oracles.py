@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from pcflab.continuant import INF, Mat2, finite_cf_value
 from pcflab.converge import classify_mobius
-from pcflab.intervals import elem_interval
+from pcflab.intervals import Interval, elem_interval
 
 
 def random_det_pm1_matrix(rng, steps=6):
@@ -89,3 +89,52 @@ def check_classification_agreement(A: Mat2, z, steps=100, tol=Fraction(1, 10 ** 
 def truncation_value(P, periods: int):
     """Value of the finite expansion with the period repeated that many times."""
     return finite_cf_value(list(P.pre) + list(P.per) * periods)
+
+
+# -- logarithms summed in exact Fractions ------------------------------------
+#
+# The reference route for pcflab.intervals.log10_interval: the atanh series in
+# exact rationals on the full-size argument, each enclosure widened by its
+# tail bound.  Slow (every term pays a gcd on growing numbers) but it shares
+# no code with the fixed-point route.
+
+
+def atanh_interval(t: Fraction, eps: Fraction) -> Interval:
+    """Enclosure of atanh(t) for |t| < 1/2, tail bounded explicitly."""
+    if not abs(t) < Fraction(1, 2):
+        raise ValueError("atanh argument out of the reduced range")
+    total = Fraction(0)
+    power = t
+    t2 = t * t
+    n = 0
+    while True:
+        total += power / (2 * n + 1)
+        n += 1
+        power *= t2
+        # tail: sum_{m>=n} |t|^(2m+1)/(2m+1) <= |t|^(2n+1)/((2n+1)(1-t^2))
+        tail = abs(power) / ((2 * n + 1) * (1 - t2))
+        if tail < eps:
+            return Interval(total - tail, total + tail)
+
+
+def ln_interval(q: Fraction, eps: Fraction) -> Interval:
+    """Enclosure of ln(q) for rational q > 0, of width about 2*eps."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    f = q / Fraction(2) ** e
+    if f >= Fraction(3, 2):
+        f /= 2
+        e += 1
+    elif f < Fraction(3, 4):
+        f *= 2
+        e -= 1
+    ln2 = 2 * atanh_interval(Fraction(1, 3), eps / (4 * max(1, abs(e))))
+    return 2 * atanh_interval((f - 1) / (f + 1), eps / 4) + e * ln2
+
+
+def log10_reference(iv: Interval, digits: int) -> Interval:
+    """Enclosure of log10 over a positive interval, in exact Fractions."""
+    eps = Fraction(1, 10 ** (digits + 4))
+    ln10 = 3 * ln_interval(Fraction(2), eps / 8) + 2 * atanh_interval(Fraction(1, 9), eps / 8)
+    lo = ln_interval(iv.lo, eps) / ln10
+    hi = ln_interval(iv.hi, eps) / ln10
+    return Interval(lo.lo, hi.hi)

@@ -2,11 +2,13 @@
 
 import json
 
+import mpmath
 import pytest
 
 from pcflab import cli, converge
 from pcflab.cli import main
 from pcflab.pcf import Pcf, dual
+from pcflab.ring import RingElem
 
 
 def run(capsys, *argv):
@@ -242,3 +244,47 @@ def test_printed_pcf_reparses(capsys):
         _, out, _ = run(capsys, "eval", s)
         printed = out.splitlines()[0].split("pcf: ", 1)[1]
         assert Pcf.parse(printed) == Pcf.parse(s)
+
+
+@pytest.mark.parametrize("n", [32, 80])
+def test_eval_limit_of_a_tiny_positive_radicand(capsys, n):
+    # [; u^n, 1] with u = sqrt2 - 1: the limit is (c + sqrt(c^2 + 4c))/2 for
+    # c = u^n, and the radicand c^2 + 4c is tiny and positive, so enclosing
+    # it at a fixed absolute precision dips below 0
+    c = RingElem(-1, 1, 2) ** n
+    text = f"[;{c},1]"
+    with mpmath.workdps(120):
+        cv = mpmath.mpf(c.a) + mpmath.mpf(c.b) * mpmath.sqrt(2)
+        limit = (cv + mpmath.sqrt(cv * cv + 4 * cv)) / 2
+        rc, out, err = run(capsys, "eval", text)
+        assert (rc, err) == (0, "")
+        assert "verdict: Converges" in out and "convergents per digit" in out
+        dec = out.split("decimal: ", 1)[1].split("\n", 1)[0]
+        assert abs(mpmath.mpf(dec) - limit) <= mpmath.mpf(10) ** -50
+
+        rc, out, err = run(capsys, "--format", "json-lines", "eval", text)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["value_decimal"] == dec
+
+
+def test_parser_is_built_once_and_each_call_keeps_its_flags(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        rc, out, _ = run(capsys, "--format", "json-lines", "eval", "[1;2]")
+        assert rc == 0
+        sqrt2 = "1.41421356237309504880168872420969807856967187537695"
+        assert json.loads(out)["value_decimal"] == sqrt2
+        rc, out, _ = run(capsys, "--precision", "5", "eval", "[1;2]")
+        assert rc == 0
+        assert "decimal: 1.41421\n" in out
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from oracles import (
@@ -12,6 +13,7 @@ from oracles import (
     random_det_pm1_matrix,
     truncation_value,
 )
+from pcflab import converge
 from pcflab.continuant import INF, Mat2
 from pcflab.converge import (
     ELLIPTIC,
@@ -255,6 +257,37 @@ def test_rate_headline_values():
 
     with pytest.raises(ValueError):
         rate(Pcf.parse("[1; -1, 2]"))
+
+
+def test_rate_one_pass_when_the_eigenvalue_is_far_from_one(monkeypatch):
+    calls = []
+    log10 = converge.log10_interval
+
+    def counted(iv, digits):
+        calls.append(digits)
+        return log10(iv, digits)
+
+    monkeypatch.setattr(converge, "log10_interval", counted)
+    for text in ("[1; 2]", "[;-4-w,-4,5]", "[442+312*w;-298532+211094*w,884+624*w]"):
+        calls.clear()
+        rate(Pcf.parse(text), 40)
+        assert calls == [48]
+
+
+@pytest.mark.parametrize("n", [116, 118, 120])
+def test_rate_near_unit_eigenvalue_matches_mpmath(n):
+    # [; u^n, 1], u = sqrt2 - 1: the period matrix has trace c + 2 and
+    # determinant 1 for c = u^n, so |lambda| - 1 is about sqrt(c)
+    c = RingElem(-1, 1, 2) ** n
+    r = rate(Pcf.parse(f"[;{c},1]"))
+    cpd = r.convergents_per_digit
+    assert cpd.width <= cpd.lo / 10 ** 12
+    with mpmath.workdps(120):
+        tr = mpmath.mpf(c.a) + mpmath.mpf(c.b) * mpmath.sqrt(2) + 2
+        lam = (tr + mpmath.sqrt(tr * tr - 4)) / 2
+        expected = 1 / mpmath.log10(lam)
+        assert mpmath.mpf(cpd.lo.numerator) / cpd.lo.denominator <= expected
+        assert expected <= mpmath.mpf(cpd.hi.numerator) / cpd.hi.denominator
 
 
 def test_verdict_value_is_attracting_root():

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import mpmath
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import log10_reference
+from pcflab.intervals import Interval, log10_interval
 from pcflab.pcf import Pcf, QuadPoly, e_matrix, e_matrix_continuant_form
 from pcflab.ring import RingElem, sqrt_in_ring
 from pcflab.variety import is_member
@@ -161,3 +164,55 @@ qw = st.builds(
 def test_e_matrix_matches_continuant_form(pre, per):
     P = Pcf(pre, per)
     assert e_matrix(P) == e_matrix_continuant_form(P)
+
+
+# -- fixed-point logarithms against the Fraction route and mpmath ------------
+#
+# Endpoints run from 2^-200 to 2^200, some within 1e-30 of 1, where the atanh
+# argument is tiny; the interval is a point or a relative width 10^-r.
+
+spread = st.builds(
+    lambda a, b, k: Fraction(a, b) * Fraction(2) ** k,
+    st.integers(1, 10 ** 18),
+    st.integers(1, 10 ** 18),
+    st.integers(-140, 140),
+)
+near_one = st.builds(
+    lambda j, s: 1 + Fraction(j, s * 10 ** 30),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(10 ** 6, 10 ** 9),
+)
+positive_intervals = st.builds(
+    lambda lo, r: Interval(lo, lo + lo * r),
+    st.one_of(spread, near_one),
+    st.one_of(st.just(Fraction(0)), st.integers(5, 100).map(lambda r: Fraction(1, 10 ** r))),
+)
+
+
+def mp_log10_brackets(q: Fraction, lo: Fraction, hi: Fraction, digits: int) -> bool:
+    """``lo <= log10(q) <= hi`` by mpmath, with ``q`` converted exactly.
+
+    Near 1 the relative precision must cover ``q - 1`` as well as ``q``, so
+    the working precision is the size of ``q`` plus the digits asked for.
+    """
+    bits = max(q.numerator.bit_length(), q.denominator.bit_length()) + 4 * digits + 200
+    with mpmath.workprec(bits):
+        v = mpmath.log10(mpmath.mpf(q.numerator) / q.denominator)
+        return mpmath.mpf(lo.numerator) / lo.denominator <= v <= (
+            mpmath.mpf(hi.numerator) / hi.denominator
+        )
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(positive_intervals, st.integers(10, 80))
+def test_log10_interval_encloses_reference_and_mpmath(iv, digits):
+    out = log10_interval(iv, digits)
+    # the reference is 20 digits finer than the result, so its midpoints sit
+    # far inside any valid enclosure
+    lo_ref = log10_reference(Interval(iv.lo), digits + 20)
+    hi_ref = log10_reference(Interval(iv.hi), digits + 20)
+    assert lo_ref.mid in out and hi_ref.mid in out
+    assert mp_log10_brackets(iv.lo, out.lo, out.hi, digits)
+    assert mp_log10_brackets(iv.hi, out.lo, out.hi, digits)
+    # log10(hi) - log10(lo) <= (hi - lo)/lo
+    assert out.width <= Fraction(1, 10 ** (digits + 4)) + iv.width / iv.lo
