@@ -107,10 +107,12 @@ from .variety import (
     is_member,
     lift03,
     lift12_from_E,
+    lift21,
     param03,
     param03_sqrt2,
     pcf_of_e_point,
     plane03_residual,
+    plane21_residual,
     reduce12_to_E,
     solve_small_type,
     variety_residuals,

@@ -273,6 +273,10 @@ def cmd_search_table(args, cfg: CliConfig) -> int:
             _print_record(_entry_record(entry, "match" if entry in report.expected else "extra"))
         for entry in report.missing:
             _print_record(_entry_record(entry, "missing"))
+        for label, ok in report.checks:
+            _print_record({"check": label, "verdict": "ok" if ok else "fail"})
+        for note in report.notes:
+            _print_record({"note": note, "verdict": "note"})
     else:
         print(report)
     return 0 if report.match else MATH_NEGATIVE

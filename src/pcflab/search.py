@@ -2,9 +2,13 @@
 
 The solvers here are deliberately blunt: unit-power scans, divisor lists,
 congruence filters, and finite box searches, each paired with an exact
-residual check so that nothing leaves this module unverified.  Expected
-results live as text fixtures under ``tables/`` and ``reproduce_table``
-diffs a fresh enumeration against them.
+residual check so that nothing leaves this module unverified.  The type
+``(0,3)`` and ``(2,1)`` tables over the plain integers are derived exactly:
+the first by a divisor reduction, the second from the square values of a
+quartic, one ring square root per fiber.  Their box searches are
+cross-checks on the plane models of ``variety``, each plane point lifted to
+a full point.  Expected results live as text fixtures under ``tables/`` and
+``reproduce_table`` diffs a fresh enumeration against them.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ from .variety import (
     e_curve_residual,
     is_member,
     lift03,
+    lift21,
     pcf_of_e_point,
+    plane03_residual,
+    plane21_residual,
     solve_small_type,
-    variety_residuals,
 )
 
 #: positive root of x^2 = 2
@@ -280,20 +286,26 @@ def _solve_z_03() -> List[tuple]:
     return sorted(pts, key=_canon_key)
 
 
+def _integral_points(pts: Iterable[tuple]) -> List[tuple]:
+    return sorted((p for p in pts if all(c.is_integral() for c in p)), key=_canon_key)
+
+
+def _plane03_scan(box: int) -> List[tuple]:
+    return box_search(lambda p: plane03_residual(TARGET_SQRT2, *p), [int_range(box)] * 2)
+
+
 def _pipeline_z_03(box: int = 5):
     exact = _solve_z_03()
-    boxed = box_search(_residual03_sqrt2, [int_range(box)] * 3)
+    plane = _plane03_scan(box)
+    lifted = _integral_points((lift03(TARGET_SQRT2, x2, x3), x2, x3) for x2, x3 in plane)
     checks = [
-        ("box search agrees with the divisor reduction", sorted(boxed, key=_canon_key) == exact),
+        ("box search agrees with the divisor reduction",
+         lifted == exact and all(is_member(TARGET_SQRT2, Pcf((), p)) for p in lifted)),
     ]
     notes = [
         "complete: x2 divides 1, and each choice of x2 leaves a quadratic in x3",
     ]
     return exact, checks, notes
-
-
-def _residual03_sqrt2(p):
-    return variety_residuals(TARGET_SQRT2, Pcf((), p))
 
 
 def _solve_z22_03(kmax: int = 20) -> List[tuple]:
@@ -335,21 +347,49 @@ def _pipeline_z22_03(kmax: int = 20):
     return found, checks, notes
 
 
+def _solve_z_21(hits: Iterable[RingElem]) -> List[tuple]:
+    # over each first coordinate the plane model is the quadratic
+    # g y2^2 + g' y2 + g + A, whose discriminant is the quartic; g = y1^2 - 2
+    # has no integer root, and the lift divides by the odd 2 y1 y2 + 1
+    T = TARGET_SQRT2
+    pts = {}
+    for y1 in hits:
+        s = sqrt_in_ring(curve21_quartic(T, y1))
+        g = T.A * y1 * y1 + T.B * y1 + T.C
+        dg = 2 * T.A * y1 + T.B
+        for r in (s, -s):
+            y2 = (r - dg) / (2 * g)
+            if not y2.is_integral():
+                continue
+            x1 = lift21(T, y1, y2)
+            if not x1.is_integral():
+                continue
+            pt = (y1, y2, x1)
+            assert not any(curve21_residual(T, pt))
+            pts[pt] = None
+    return sorted(pts, key=_canon_key)
+
+
+def _plane21_scan(box: int) -> List[tuple]:
+    return box_search(lambda p: plane21_residual(TARGET_SQRT2, *p), [int_range(box)] * 2)
+
+
 def _pipeline_z_21(box: int = 5, ybound: int = 50):
     hits = quartic_y1_scan(TARGET_SQRT2, ybound)
-    found = box_search(
-        lambda p: curve21_residual(TARGET_SQRT2, p), [int_range(box)] * 3
-    )
-    found = sorted(found, key=_canon_key)
+    found = _solve_z_21(hits)
+    plane = _plane21_scan(box)
+    lifted = _integral_points((y1, y2, lift21(TARGET_SQRT2, y1, y2)) for y1, y2 in plane)
     checks = [
         ("square quartic values only at first coordinate +-1",
          sorted(hits, key=lambda c: (c.a, c.b)) == [RingElem(-1), RingElem(1)]),
         ("all boxed points satisfy the defining equations",
-         all(is_member(TARGET_SQRT2, Pcf(p[:2], p[2:])) for p in found)),
+         all(not any(curve21_residual(TARGET_SQRT2, p)) for p in lifted)),
+        ("box search agrees with the quartic derivation", lifted == found),
     ]
     notes = [
-        "the quartic is negative once the first coordinate squared exceeds 3,"
-        " so the scan is complete over the plain integers",
+        "the fiber over each first coordinate is a quadratic in the second whose"
+        " discriminant is the quartic; the quartic is negative once the first"
+        " coordinate squared exceeds 3, so the scan is complete over the plain integers",
     ]
     return found, checks, notes
 

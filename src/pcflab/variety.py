@@ -252,6 +252,38 @@ def curve21_quartic(T: QuadPoly, y1) -> RingElem:
     return -4 * g * g + T.B * T.B - 4 * T.A * T.C
 
 
+def plane21_residual(T: QuadPoly, y1, y2) -> RingElem:
+    """Defect of the plane model the two prefix coordinates must satisfy.
+
+    Eliminating ``x1`` from the first two membership residuals of type
+    ``(2,1)`` leaves ``g y2^2 + g' y2 + g + A = 0`` with
+    ``g = A y1^2 + B y1 + C`` and ``g' = 2 A y1 + B``.  Its discriminant in
+    ``y2`` is :func:`curve21_quartic`, so each fiber over ``y1`` is a
+    quadratic solved by one ring square root.
+    """
+    y1 = RingElem._wrap(y1)
+    y2 = RingElem._wrap(y2)
+    g = T.A * y1 * y1 + T.B * y1 + T.C
+    return (g * y2 + 2 * T.A * y1 + T.B) * y2 + g + T.A
+
+
+def lift21(T: QuadPoly, y1, y2) -> RingElem:
+    """Recover the period coordinate from a plane-model point.
+
+    Solves the first membership residual, linear in ``x1`` with coefficient
+    ``p = 2 A y1 y2 + A + B y2``; fails when ``p = 0``.  On the plane model
+    the other two residuals then vanish as well: they are ``-A`` and ``-B``
+    times the plane defect, divided by ``p``.
+    """
+    y1 = RingElem._wrap(y1)
+    y2 = RingElem._wrap(y2)
+    A, B = T.A, T.B
+    p = 2 * A * y1 * y2 + A + B * y2
+    if not p:
+        raise ZeroDivisionError("no lift where 2 A y1 y2 + A + B y2 = 0")
+    return (2 * A * y1 * (y2 * y2 - 1) + 2 * A * y2 + B * (y2 * y2 - 1)) / p
+
+
 # ---------------------------------------------------------------------------
 # type (1,2): the non-split component and its Weierstrass-free reduction
 # ---------------------------------------------------------------------------

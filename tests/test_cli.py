@@ -5,7 +5,7 @@ import json
 import mpmath
 import pytest
 
-from pcflab import cli, converge
+from pcflab import cli, converge, search
 from pcflab.cli import main
 from pcflab.pcf import Pcf, dual
 from pcflab.ring import RingElem
@@ -231,12 +231,25 @@ def test_json_lines_schema_and_determinism(capsys):
 
     rc, out, _ = run(capsys, "--format", "json-lines", "search", "table", "z22_03")
     assert rc == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 16
-    for line in lines:
-        rec = json.loads(line)
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(recs) == 16 + 2 + 1
+    for rec in recs[:16]:
         assert list(rec) == ["coords", "residuals", "value_decimal", "verdict"]
         assert rec["verdict"] == "match"
+    for rec in recs[16:18]:
+        assert list(rec) == ["check", "verdict"]
+        assert rec["verdict"] == "ok"
+    assert list(recs[18]) == ["note", "verdict"]
+    assert recs[18]["verdict"] == "note"
+
+
+def test_search_table_json_lines_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(search, "_plane03_scan", lambda box: [])
+    rc, out, _ = run(capsys, "--format", "json-lines", "search", "table", "z_03")
+    assert rc == 1
+    recs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["verdict"] for r in recs] == ["match"] * 4 + ["fail", "note"]
+    assert recs[4] == {"check": "box search agrees with the divisor reduction", "verdict": "fail"}
 
 
 def test_printed_pcf_reparses(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,13 @@ from oracles import log10_reference
 from pcflab.intervals import Interval, log10_interval
 from pcflab.pcf import Pcf, QuadPoly, e_matrix, e_matrix_continuant_form
 from pcflab.ring import RingElem, sqrt_in_ring
-from pcflab.variety import is_member
+from pcflab.variety import (
+    curve21_quartic,
+    curve21_residual,
+    is_member,
+    lift21,
+    plane21_residual,
+)
 
 DERANDOMIZED = settings(max_examples=400, deadline=None, database=None, derandomize=True)
 
@@ -34,6 +41,27 @@ def test_family_membership_matches_continuant_form(P):
     assert is_member(QuadPoly(A, B, C), P)
     if A:
         assert not is_member(QuadPoly(A, B, C + A), P)
+
+
+@DERANDOMIZED
+@given(zw, zw, zw, zw, zw)
+def test_plane21_model_discriminant_and_lift(A, B, C, y1, y2):
+    # the fiber's coefficients are read off plane21_residual at y2 = -1, 0, 1,
+    # and the residuals of the lifted point come from e_matrix, so neither
+    # side of an identity repeats the other's formula
+    assume(A)
+    T = QuadPoly(A, B, C)
+    lo, mid, hi = (plane21_residual(T, y1, t) for t in (-1, 0, 1))
+    a2, a1 = (hi + lo) / 2 - mid, (hi - lo) / 2
+    assert a1 * a1 - 4 * a2 * mid == curve21_quartic(T, y1)
+    p = 2 * A * y1 * y2 + A + B * y2
+    if not p:
+        with pytest.raises(ZeroDivisionError):
+            lift21(T, y1, y2)
+        return
+    r1, r2, _ = curve21_residual(T, (y1, y2, lift21(T, y1, y2)))
+    assert not r1
+    assert r2 * p == -A * plane21_residual(T, y1, y2)
 
 
 # -- the int fast path of RingElem against an all-Fraction reference ---------

@@ -101,3 +101,38 @@ def test_e_curve_rational_prime():
         (RingElem(-1), RingElem(-2)),
         (RingElem(0), RingElem(2)),
     }
+
+
+# each plane scan, given one point more than the model has (its lift is
+# integral, so only the cross-check can reject it) or one point fewer
+PLANE_SCANS = [
+    ("z_03", "_plane03_scan", (RingElem(1), RingElem(1))),
+    ("z_21", "_plane21_scan", (RingElem(2), RingElem(0))),
+]
+
+
+@pytest.mark.parametrize("name, scan, extra", PLANE_SCANS)
+def test_plane_scan_with_an_extra_point_fails_the_table(monkeypatch, name, scan, extra):
+    real = getattr(search, scan)
+    assert extra not in real(5)
+    monkeypatch.setattr(search, scan, lambda box: real(box) + [extra])
+    rep = reproduce_table(name)
+    assert not rep.match
+    assert not rep.missing and not rep.extra
+
+
+@pytest.mark.parametrize("name, scan", [row[:2] for row in PLANE_SCANS])
+def test_plane_scan_missing_a_point_fails_the_table(monkeypatch, name, scan):
+    real = getattr(search, scan)
+    monkeypatch.setattr(search, scan, lambda box: real(box)[1:])
+    rep = reproduce_table(name)
+    assert not rep.match
+    assert not rep.missing and not rep.extra
+
+
+def test_z_21_table_comes_from_the_quartic_derivation(monkeypatch):
+    monkeypatch.setattr(search, "quartic_y1_scan", lambda T, bound, ambient=None: [RingElem(1)])
+    rep = reproduce_table("z_21")
+    assert not rep.match
+    assert {p[0] for p in rep.missing} == {RingElem(-1)}
+    assert {p[0] for p in rep.found} == {RingElem(1)}

@@ -8,6 +8,7 @@ import pytest
 from pcflab.continuant import INF
 from pcflab.pcf import Pcf, QuadPoly
 from pcflab.ring import RingElem, parse_elem, root
+from pcflab.search import load_table
 from pcflab.variety import (
     POINTS_X3_MINUS_4X,
     POINTS_X3_MINUS_X,
@@ -28,10 +29,12 @@ from pcflab.variety import (
     is_member,
     lift03,
     lift12_from_E,
+    lift21,
     param03,
     param03_sqrt2,
     pcf_of_e_point,
     plane03_residual,
+    plane21_residual,
     reduce12_to_E,
     solve_small_type,
     variety_residuals,
@@ -83,6 +86,17 @@ def test_plane_model_and_lift():
     for p in sixteen_points():
         assert not plane03_residual(TSW, p[1], p[2])
         assert lift03(TSW, p[1], p[2]) == p[0]
+
+
+def test_plane21_model_and_lift():
+    pts = load_table("z_21")
+    assert len(pts) == 4
+    for y1, y2, x1 in pts:
+        assert not plane21_residual(T2, y1, y2)
+        assert lift21(T2, y1, y2) == x1
+    assert plane21_residual(T2, 2, 0)
+    with pytest.raises(ZeroDivisionError):
+        lift21(QuadPoly(1, 0, -1), 1, RingElem(-1) / 2)
 
 
 def test_fp_projection_conic():
