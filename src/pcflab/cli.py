@@ -30,7 +30,14 @@ from .ring import (
     sqrt_in_ring,
     squarefree,
 )
-from .search import TableName, ljunggren_oracle, reproduce_table, solve_e_curve
+from .search import (
+    KMAX,
+    LJUNGGREN_BOUND,
+    TableName,
+    ljunggren_oracle,
+    reproduce_table,
+    solve_e_curve,
+)
 from .skolem import aprime_z_table, format_aprime_table, l2_scan, oryx_check, rst_table
 from .variety import e_curve_residual, fp_conic_residual, fp_project, variety_residuals
 
@@ -51,12 +58,19 @@ class CliConfig:
             raise ValueError(f"ambient discriminant {self.d} must be squarefree and >= 2")
         if self.precision <= 0:
             raise ValueError("precision must be positive")
-        if self.format not in ("text", "json-lines"):
-            raise ValueError(f"unknown output format {self.format!r}")
 
 
-def _print_record(record: dict):
+def _print_json(record: dict):
     print(json.dumps(record, sort_keys=True))
+
+
+def _print_record(verdict: str, *, coords=None, pcf=None, residuals=None, value_decimal=None):
+    """One json-lines answer: ``coords`` or ``pcf``, ``residuals``, ``verdict``, ``value_decimal``."""
+    rec = {"pcf": str(pcf)} if pcf is not None else {"coords": [format_elem(c) for c in coords]}
+    rec["residuals"] = None if residuals is None else [format_elem(r) for r in residuals]
+    rec["verdict"] = verdict
+    rec["value_decimal"] = value_decimal
+    _print_json(rec)
 
 
 def _require_d2(cfg: CliConfig, command: str):
@@ -104,14 +118,7 @@ def _emit_pcf_result(P: Pcf, cfg: CliConfig, heading: str) -> int:
     v = verdict(P)
     dec = _decimal_or_none(v.value, cfg.precision) if v.converges else None
     if cfg.format == "json-lines":
-        _print_record(
-            {
-                "pcf": str(P),
-                "residuals": None,
-                "verdict": _verdict_label(v),
-                "value_decimal": dec,
-            }
-        )
+        _print_record(_verdict_label(v), pcf=P, value_decimal=dec)
         return 0 if v.converges else MATH_NEGATIVE
     print(f"{heading}: {P}")
     print(f"verdict: {_verdict_label(v)}")
@@ -193,14 +200,7 @@ def cmd_variety_check(args, cfg: CliConfig) -> int:
         member = not any(res)
         all_member = all_member and member
         if cfg.format == "json-lines":
-            _print_record(
-                {
-                    "coords": [format_elem(c) for c in coords],
-                    "residuals": [format_elem(r) for r in res],
-                    "verdict": "member" if member else "non-member",
-                    "value_decimal": None,
-                }
-            )
+            _print_record("member" if member else "non-member", coords=coords, residuals=res)
         else:
             tag = "member" if member else "NOT a member"
             print(f"point ({_coords_text(coords)}): residuals ({_coords_text(res)}), {tag}")
@@ -219,28 +219,14 @@ def cmd_fp_project(args, cfg: CliConfig) -> int:
         except ValueError as exc:
             print(f"math error: {exc}", file=sys.stderr)
             if cfg.format == "json-lines":
-                _print_record(
-                    {
-                        "coords": [format_elem(c) for c in coords],
-                        "residuals": None,
-                        "verdict": "non-member",
-                        "value_decimal": None,
-                    }
-                )
+                _print_record("non-member", coords=coords)
             all_on = False
             continue
         r = fp_conic_residual(T, k, xy)
         on = not r
         all_on = all_on and on
         if cfg.format == "json-lines":
-            _print_record(
-                {
-                    "coords": [format_elem(c) for c in xy],
-                    "residuals": [format_elem(r)],
-                    "verdict": "on-conic" if on else "off-conic",
-                    "value_decimal": None,
-                }
-            )
+            _print_record("on-conic" if on else "off-conic", coords=xy, residuals=[r])
         else:
             tag = "on the conic" if on else "OFF the conic"
             print(
@@ -248,16 +234,6 @@ def cmd_fp_project(args, cfg: CliConfig) -> int:
                 f"residual {format_elem(r)}, {tag}"
             )
     return 0 if all_on else MATH_NEGATIVE
-
-
-def _entry_record(entry, status: str) -> dict:
-    rec = {"residuals": None, "verdict": status, "value_decimal": None}
-    if isinstance(entry, Pcf):
-        rec["pcf"] = str(entry)
-    else:
-        coords = entry if isinstance(entry, tuple) else (entry,)
-        rec["coords"] = [format_elem(c) for c in coords]
-    return rec
 
 
 def cmd_search_table(args, cfg: CliConfig) -> int:
@@ -269,14 +245,16 @@ def cmd_search_table(args, cfg: CliConfig) -> int:
         raise ValueError(f"unknown table {args.name!r}; known tables: {known}")
     report = reproduce_table(name)
     if cfg.format == "json-lines":
-        for entry in report.found:
-            _print_record(_entry_record(entry, "match" if entry in report.expected else "extra"))
-        for entry in report.missing:
-            _print_record(_entry_record(entry, "missing"))
+        found = [(e, "match" if e in report.expected else "extra") for e in report.found]
+        for entry, status in found + [(e, "missing") for e in report.missing]:
+            if isinstance(entry, Pcf):
+                _print_record(status, pcf=entry)
+            else:
+                _print_record(status, coords=entry)
         for label, ok in report.checks:
-            _print_record({"check": label, "verdict": "ok" if ok else "fail"})
+            _print_json({"check": label, "verdict": "ok" if ok else "fail"})
         for note in report.notes:
-            _print_record({"note": note, "verdict": "note"})
+            _print_json({"note": note, "verdict": "note"})
     else:
         print(report)
     return 0 if report.match else MATH_NEGATIVE
@@ -288,14 +266,7 @@ def cmd_search_ljunggren(args, cfg: CliConfig) -> int:
     sols = ljunggren_oracle(args.bound)
     if cfg.format == "json-lines":
         for x, y in sols:
-            _print_record(
-                {
-                    "coords": [str(x), str(y)],
-                    "residuals": [str(x * x + 1 - 2 * y ** 4)],
-                    "verdict": "solution",
-                    "value_decimal": None,
-                }
-            )
+            _print_record("solution", coords=(x, y), residuals=[x * x + 1 - 2 * y ** 4])
     else:
         for x, y in sols:
             print(f"({x}, {y})")
@@ -311,14 +282,7 @@ def cmd_search_ecurve(args, cfg: CliConfig) -> int:
     pts = solve_e_curve(pi, args.kmax)
     if cfg.format == "json-lines":
         for a, b in pts:
-            _print_record(
-                {
-                    "coords": [format_elem(a), format_elem(b)],
-                    "residuals": [format_elem(e_curve_residual(pi, a, b))],
-                    "verdict": "on-curve",
-                    "value_decimal": None,
-                }
-            )
+            _print_record("on-curve", coords=(a, b), residuals=[e_curve_residual(pi, a, b)])
     else:
         for a, b in pts:
             print(f"({format_elem(a)}, {format_elem(b)})")
@@ -328,6 +292,8 @@ def cmd_search_ecurve(args, cfg: CliConfig) -> int:
 
 def cmd_skolem(args, cfg: CliConfig) -> int:
     _require_d2(cfg, "skolem")
+    if cfg.format != "text":
+        raise ValueError(f"skolem prints text only; drop --format {cfg.format}")
     if args.report == "rst":
         if args.nmax < 0:
             raise ValueError("nmax must be nonnegative")
@@ -396,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("name", help="table name, e.g. z22_03")
     pt.set_defaults(func=cmd_search_table)
     pl = ss.add_parser("ljunggren", help="brute scan of x^2 + 1 = 2 y^4")
-    pl.add_argument("--bound", type=int, default=1000)
+    pl.add_argument("--bound", type=int, default=LJUNGGREN_BOUND)
     pl.set_defaults(func=cmd_search_ljunggren)
     pe = ss.add_parser("ecurve", help="unit-scan solver for (a^2 b + 1) b = pi")
     pe.add_argument("--pi", required=True)
-    pe.add_argument("--kmax", type=int, default=20)
+    pe.add_argument("--kmax", type=int, default=KMAX)
     pe.set_defaults(func=cmd_search_ecurve)
 
     p = sub.add_parser("skolem", help="2-adic valuation reports")

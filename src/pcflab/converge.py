@@ -184,7 +184,6 @@ class RateResult:
     parabolic: bool
     eigen_abs: Optional[Interval] = None
     convergents_per_digit: Optional[Interval] = None
-    precision: int = 12
 
     def __str__(self):
         if self.parabolic:
@@ -212,7 +211,7 @@ def rate(P: Pcf, digits: int = 12, *, v: Optional[Verdict] = None) -> RateResult
     if not v.converges:
         raise ValueError(f"{P} diverges ({v.reason}); it has no convergence rate")
     if v.reason == PARABOLIC:
-        return RateResult(parabolic=True, precision=digits)
+        return RateResult(parabolic=True)
     lam = v.eigenvalue
     sgn = sign_under_embedding(lam)
     target = Fraction(1, 10 ** digits)
@@ -229,8 +228,6 @@ def rate(P: Pcf, digits: int = 12, *, v: Optional[Verdict] = None) -> RateResult
         cpd = Fraction(P.k, 2) / lg
         if cpd.width > target * cpd.lo:
             return None
-        return RateResult(
-            parabolic=False, eigen_abs=iv, convergents_per_digit=cpd, precision=digits
-        )
+        return RateResult(parabolic=False, eigen_abs=iv, convergents_per_digit=cpd)
 
     return refine(attempt, digits + 8)

@@ -335,9 +335,6 @@ def format_scaled(n: int, digits: int) -> str:
 
 def decimal_str(x: Number, digits: int) -> str:
     """Fixed-point decimal with every printed digit certified."""
-    if isinstance(x, (int, Fraction)) or (isinstance(x, RingElem) and x.d is None):
-        q = x.a if isinstance(x, RingElem) else Fraction(x)
-        return format_scaled(_round_scaled(q, 10 ** digits), digits)
     scale = 10 ** digits
 
     def attempt(prec):
@@ -345,8 +342,8 @@ def decimal_str(x: Number, digits: int) -> str:
         rlo = _round_scaled(iv.lo, scale)
         return rlo if rlo == _round_scaled(iv.hi, scale) else None
 
-    # only a value on a rounding boundary never settles, and an irrational
-    # value cannot sit on one
+    # a rational value encloses as a point, so both ends round alike at once;
+    # an irrational value never sits on a rounding boundary, so it settles
     return format_scaled(refine(attempt, 32 + 4 * digits), digits)
 
 

@@ -112,6 +112,10 @@ class QuadPoly:
     def __call__(self, z):
         return self.A * z * z + self.B * z + self.C
 
+    def slope(self, z):
+        """Derivative ``2 A z + B`` at ``z``."""
+        return 2 * self.A * z + self.B
+
     def is_root(self, z) -> bool:
         if z is INF:
             return not self.A

@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 from .converge import rate, verdict
-from .intervals import interval_decimal_str
+from .intervals import Interval, interval_decimal_str
 from .pcf import Pcf, QuadPoly
 from .ring import (
     U,
@@ -60,6 +60,15 @@ TARGET_ALPHA2 = QuadPoly(1, 0, -WU)
 # reduced quartic alpha - (y^2 - alpha)^2 at alpha = 2 + sqrt(2); disjoint.
 SQUARES_MOD4_ZW = frozenset({(0, 0), (1, 0), (2, 0), (3, 2)})
 REDUCED_QUARTIC_MOD4_ZW = frozenset({(0, 1), (3, 3)})
+
+# scan bounds behind the tables: unit exponents |k| <= KMAX, plane boxes of
+# half-width BOX, first coordinates |y1| <= YBOUND for the (2,1) quartic,
+# Z[sqrt 2] coefficients up to COEFF_BOX, and |y| <= LJUNGGREN_BOUND
+KMAX = 20
+BOX = 5
+YBOUND = 50
+COEFF_BOX = 20
+LJUNGGREN_BOUND = 1000
 
 
 class TableName(Enum):
@@ -132,7 +141,7 @@ def _norm_one_cut(b: RingElem, norm_b: int) -> bool:
     return norm_b == 1 and int((b * b + 1).norm()) % 8 == 4
 
 
-def solve_e_curve(pi, kmax: int = 20, use_filters: bool = True) -> List[Tuple[RingElem, RingElem]]:
+def solve_e_curve(pi, kmax: int = KMAX, use_filters: bool = True) -> List[Tuple[RingElem, RingElem]]:
     """All points (a, b) with (a^2 b + 1) b = pi found under the divisor bound.
 
     ``pi`` must be 2 (plain-integer case) or 2 + sqrt(2).  Candidates for b
@@ -185,30 +194,18 @@ def zw_box(bound: int) -> List[RingElem]:
     return out
 
 
-def box_search(residual: Callable, box: Sequence[Iterable]) -> List[tuple]:
+def box_search(residual: Callable, box: Sequence[Sequence[RingElem]]) -> List[tuple]:
     """All points of a finite coordinate box where the residual vanishes.
 
     The residual callable receives one coordinate tuple and returns a single
-    element or a sequence of elements; a point is kept when all are zero.
+    ring element; a point is kept when it is zero.
     """
-    axes = [list(axis) for axis in box]
-    found = []
-    for pt in itertools.product(*axes):
-        r = residual(pt)
-        vals = r if isinstance(r, (tuple, list)) else (r,)
-        if all(not v for v in vals):
-            found.append(tuple(RingElem._wrap(c) for c in pt))
-    return found
+    return [pt for pt in itertools.product(*box) if not residual(pt)]
 
 
-def quartic_y1_scan(T: QuadPoly, bound: int, ambient: Optional[int] = None) -> List[RingElem]:
-    """First coordinates whose type-(2,1) quartic value is a ring square."""
-    axis = zw_box(bound) if ambient == 2 else int_range(bound)
-    hits = []
-    for y in axis:
-        if sqrt_in_ring(curve21_quartic(T, y), ambient) is not None:
-            hits.append(y)
-    return hits
+def quartic_y1_scan(T: QuadPoly, bound: int) -> List[RingElem]:
+    """Integer first coordinates whose type-(2,1) quartic value is a square."""
+    return [y for y in int_range(bound) if sqrt_in_ring(curve21_quartic(T, y)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +291,9 @@ def _plane03_scan(box: int) -> List[tuple]:
     return box_search(lambda p: plane03_residual(TARGET_SQRT2, *p), [int_range(box)] * 2)
 
 
-def _pipeline_z_03(box: int = 5):
+def _pipeline_z_03():
     exact = _solve_z_03()
-    plane = _plane03_scan(box)
+    plane = _plane03_scan(BOX)
     lifted = _integral_points((lift03(TARGET_SQRT2, x2, x3), x2, x3) for x2, x3 in plane)
     checks = [
         ("box search agrees with the divisor reduction",
@@ -308,7 +305,7 @@ def _pipeline_z_03(box: int = 5):
     return exact, checks, notes
 
 
-def _solve_z22_03(kmax: int = 20) -> List[tuple]:
+def _solve_z22_03(kmax: int) -> List[tuple]:
     pts = {}
     for b, tag in unit_divisor_enum(U, kmax):
         if _norm_one_cut(b, tag):
@@ -332,9 +329,9 @@ def _solve_z22_03(kmax: int = 20) -> List[tuple]:
     return sorted(pts, key=_canon_key)
 
 
-def _pipeline_z22_03(kmax: int = 20):
-    found = _solve_z22_03(kmax)
-    lj = ljunggren_oracle(1000)
+def _pipeline_z22_03():
+    found = _solve_z22_03(KMAX)
+    lj = ljunggren_oracle(LJUNGGREN_BOUND)
     checks = [
         ("second coordinates are units", all(p[1].is_unit() for p in found)),
         ("quartic oracle finds the two classical solution pairs",
@@ -342,7 +339,7 @@ def _pipeline_z22_03(kmax: int = 20):
                        if x * x + 1 == 2 * y ** 4})),
     ]
     notes = [
-        f"unit scan bound {kmax}; completeness for the scanned range only",
+        f"unit scan bound {KMAX}; completeness for the scanned range only",
     ]
     return found, checks, notes
 
@@ -355,10 +352,8 @@ def _solve_z_21(hits: Iterable[RingElem]) -> List[tuple]:
     pts = {}
     for y1 in hits:
         s = sqrt_in_ring(curve21_quartic(T, y1))
-        g = T.A * y1 * y1 + T.B * y1 + T.C
-        dg = 2 * T.A * y1 + T.B
         for r in (s, -s):
-            y2 = (r - dg) / (2 * g)
+            y2 = (r - T.slope(y1)) / (2 * T(y1))
             if not y2.is_integral():
                 continue
             x1 = lift21(T, y1, y2)
@@ -374,10 +369,10 @@ def _plane21_scan(box: int) -> List[tuple]:
     return box_search(lambda p: plane21_residual(TARGET_SQRT2, *p), [int_range(box)] * 2)
 
 
-def _pipeline_z_21(box: int = 5, ybound: int = 50):
-    hits = quartic_y1_scan(TARGET_SQRT2, ybound)
+def _pipeline_z_21():
+    hits = quartic_y1_scan(TARGET_SQRT2, YBOUND)
     found = _solve_z_21(hits)
-    plane = _plane21_scan(box)
+    plane = _plane21_scan(BOX)
     lifted = _integral_points((y1, y2, lift21(TARGET_SQRT2, y1, y2)) for y1, y2 in plane)
     checks = [
         ("square quartic values only at first coordinate +-1",
@@ -399,11 +394,11 @@ def _reduced_quartic_alpha2(y: RingElem) -> RingElem:
     return WU - g * g
 
 
-def _pipeline_z22_21(coeff_box: int = 20):
+def _pipeline_z22_21():
     reps = [RingElem(p, q, 2) for p in range(4) for q in range(4)]
     squares = {residue_class(r * r, 4) for r in reps}
     values = {residue_class(_reduced_quartic_alpha2(r), 4) for r in reps}
-    boxed = [y for y in zw_box(coeff_box) if sqrt_in_ring(_reduced_quartic_alpha2(y), 2) is not None]
+    boxed = [y for y in zw_box(COEFF_BOX) if sqrt_in_ring(_reduced_quartic_alpha2(y), 2) is not None]
     checks = [
         ("square residues mod 4 as frozen", squares == set(SQUARES_MOD4_ZW)),
         ("reduced quartic residues mod 4 as frozen", values == set(REDUCED_QUARTIC_MOD4_ZW)),
@@ -422,25 +417,30 @@ def _fmt_res(r: Tuple[int, int]) -> str:
     return format_elem(RingElem(r[0], r[1], 2))
 
 
-def _pipeline_z_12(kmax: int = 3):
-    found = solve_e_curve(RingElem(2), kmax)
-    pos = set()
-    for a, b in found:
-        if not a:
-            continue
-        P = pcf_of_e_point(a, b)
-        v = verdict(P)
-        if v.converges and v.value == SQRT2:
-            pos.add(P)
-    want = {Pcf.parse("[1;2,2]"), Pcf.parse("[2;-2,4]")}
+def _converging_to(root, pcfs: Iterable[Pcf]) -> Tuple[bool, List[Pcf]]:
+    """Whether every PCF converges, and the sorted PCFs that converge to ``root``."""
+    pcfs = list(pcfs)
+    verdicts = [verdict(P) for P in pcfs]
+    keep = [P for P, v in zip(pcfs, verdicts) if v.converges and v.value == root]
+    return all(v.converges for v in verdicts), sorted(keep, key=lambda P: _canon_key(P.pre + P.per))
+
+
+def _attached_pcfs(pts: Iterable[tuple]) -> List[Pcf]:
+    return [pcf_of_e_point(a, b) for a, b in pts if a]
+
+
+def _pipeline_z_12():
+    found = solve_e_curve(RingElem(2))
+    _, pos = _converging_to(SQRT2, _attached_pcfs(found))
+    want = [Pcf.parse("[1;2,2]"), Pcf.parse("[2;-2,4]")]
     checks = [
         ("exactly two attached PCFs converge to the positive square root", pos == want),
     ]
     return found, checks, []
 
 
-def _pipeline_z22_12(kmax: int = 20):
-    found = solve_e_curve(WU, kmax)
+def _pipeline_z22_12():
+    found = solve_e_curve(WU, KMAX)
     norm_neg1 = [p for p in found if int(p[1].norm()) == -1]
     checks = [
         ("contains the extraneous point with vanishing first coordinate",
@@ -448,49 +448,37 @@ def _pipeline_z22_12(kmax: int = 20):
         ("point count is 1 mod 4", len(found) % 4 == 1),
         ("eight points carry a norm -1 second coordinate", len(norm_neg1) == 8),
     ]
-    notes = [f"divisor bound {kmax}; completeness for the scanned range only"]
+    notes = [f"divisor bound {KMAX}; completeness for the scanned range only"]
     return found, checks, notes
 
 
-def _pipeline_pcf_rinds(kmax: int = 20):
-    pts = _solve_z22_03(kmax)
-    pcfs = [Pcf((), tuple(p)) for p in pts]
-    verdicts = [verdict(P) for P in pcfs]
-    keep = [P for P, v in zip(pcfs, verdicts) if v.converges and v.value == ALPHA2]
-    keep = sorted(keep, key=lambda P: _canon_key(P.per))
-    checks = [
-        ("all sixteen period triples converge", all(v.converges for v in verdicts)),
-    ]
-    checks += _rate_checks(load_table(TableName.PCF_rinds)[-2:], 1651)
+def _pipeline_pcf_rinds():
+    all_converge, keep = _converging_to(ALPHA2, (Pcf((), p) for p in _solve_z22_03(KMAX)))
+    checks = [("all sixteen period triples converge", all_converge)]
+    checks += _rate_checks(load_table(TableName.PCF_rinds)[-2:], 1651, "1.002094", lambda m: m)
     return keep, checks, []
 
 
-def _pipeline_pcf_pot(kmax: int = 20):
-    pts = solve_e_curve(WU, kmax)
-    pcfs = [pcf_of_e_point(a, b) for a, b in pts if a]
-    verdicts = [verdict(P) for P in pcfs]
-    keep = [P for P, v in zip(pcfs, verdicts) if v.converges and v.value == ALPHA2]
-    keep = sorted(keep, key=lambda P: _canon_key(P.pre + P.per))
+def _pipeline_pcf_pot():
+    all_converge, keep = _converging_to(ALPHA2, _attached_pcfs(solve_e_curve(WU, KMAX)))
     checks = [
-        ("all twenty attached PCFs converge", all(v.converges for v in verdicts)),
+        ("all twenty attached PCFs converge", all_converge),
         ("half of them settle on the positive root", len(keep) == 10),
     ]
-    checks += _rate_checks(load_table(TableName.PCF_pot)[-1:], 550)
+    checks += _rate_checks(load_table(TableName.PCF_pot)[-1:], 550, "0.995825", lambda m: 1 / m)
     return keep, checks, []
 
 
-def _rate_checks(rows: Sequence[Pcf], anchor: int) -> List[Tuple[str, bool]]:
+def _rate_checks(rows: Sequence[Pcf], anchor: int, label: str,
+                 modulus: Callable[[Interval], Interval]) -> List[Tuple[str, bool]]:
+    # ``modulus`` maps the enclosure of |eigenvalue| to the one shown as ``label``
     checks = []
     for P in rows:
         r = rate(P, digits=12)
-        cpd = r.convergents_per_digit
-        near = abs(cpd.mid - anchor) <= 1
+        near = abs(r.convergents_per_digit.mid - anchor) <= 1
         checks.append((f"{P} needs about {anchor} convergents per digit", near))
-        mod = r.eigen_abs if anchor == 1651 else 1 / r.eigen_abs
-        label = "1.002094" if anchor == 1651 else "0.995825"
-        checks.append(
-            (f"six-decimal eigenvalue display {label}", interval_decimal_str(mod, 6) == label)
-        )
+        shown = interval_decimal_str(modulus(r.eigen_abs), 6)
+        checks.append((f"six-decimal eigenvalue display {label}", shown == label))
     return checks
 
 

@@ -247,9 +247,8 @@ def curve21_quartic(T: QuadPoly, y1) -> RingElem:
     Equals ``-4 (A y1^2 + B y1 + C)^2 + B^2 - 4AC``; a solution with first
     coordinate ``y1`` forces this to be ``(x1 (A y1^2 + B y1 + C))^2``.
     """
-    y1 = RingElem._wrap(y1)
-    g = T.A * y1 * y1 + T.B * y1 + T.C
-    return -4 * g * g + T.B * T.B - 4 * T.A * T.C
+    g = T(RingElem._wrap(y1))
+    return -4 * g * g + T.disc()
 
 
 def plane21_residual(T: QuadPoly, y1, y2) -> RingElem:
@@ -263,8 +262,8 @@ def plane21_residual(T: QuadPoly, y1, y2) -> RingElem:
     """
     y1 = RingElem._wrap(y1)
     y2 = RingElem._wrap(y2)
-    g = T.A * y1 * y1 + T.B * y1 + T.C
-    return (g * y2 + 2 * T.A * y1 + T.B) * y2 + g + T.A
+    g = T(y1)
+    return (g * y2 + T.slope(y1)) * y2 + g + T.A
 
 
 def lift21(T: QuadPoly, y1, y2) -> RingElem:
@@ -293,16 +292,14 @@ def curve12_residual(T: QuadPoly, y1, x1) -> RingElem:
     """Defect of the relation cutting out the interesting ``(1,2)`` component:
     ``(A y1^2 + B y1 + C) x1 + 2 A y1 + B = 0``."""
     y1 = RingElem._wrap(y1)
-    x1 = RingElem._wrap(x1)
-    g = T.A * y1 * y1 + T.B * y1 + T.C
-    return g * x1 + 2 * T.A * y1 + T.B
+    return T(y1) * RingElem._wrap(x1) + T.slope(y1)
 
 
 def curve12_point(T: QuadPoly, y1) -> Tuple[RingElem, RingElem, RingElem]:
     """Full coordinate triple ``(y1, x1, x2)`` over a first coordinate ``y1``."""
     y1 = RingElem._wrap(y1)
-    g = T.A * y1 * y1 + T.B * y1 + T.C
-    h = 2 * T.A * y1 + T.B
+    g = T(y1)
+    h = T.slope(y1)
     if not g:
         raise ZeroDivisionError("y1 is a root of the target quadratic")
     if not T.A:

@@ -202,6 +202,14 @@ def test_skolem_reports(capsys):
         assert "must be" in err
 
 
+@pytest.mark.parametrize("report", ["rst", "table", "oryx", "l2"])
+def test_skolem_rejects_json_lines(capsys, report):
+    rc, out, err = run(capsys, "--format", "json-lines", "skolem", report)
+    assert rc == 2
+    assert not out
+    assert "--format" in err
+
+
 def test_precision_flag_and_env(capsys, monkeypatch):
     rc, out, _ = run(capsys, "--precision", "10", "eval", "[1;2]")
     assert rc == 0

@@ -91,6 +91,12 @@ def test_decimal_str_rationals():
     assert decimal_str(Fraction(2, 3), 5) == "0.66667"
     assert decimal_str(Fraction(-1, 8), 4) == "-0.1250"
     assert decimal_str(Fraction(7), 3) == "7.000"
+    assert decimal_str(-3, 2) == "-3.00"
+    assert decimal_str(RingElem(Fraction(5, 4)), 3) == "1.250"
+    # ties round half up, toward +infinity
+    assert decimal_str(Fraction(1, 8), 2) == "0.13"
+    assert decimal_str(Fraction(-1, 8), 2) == "-0.12"
+    assert decimal_str(RingElem(Fraction(-7, 4)), 1) == "-1.7"
 
 
 def test_decimal_str_algebraic():

@@ -1,5 +1,7 @@
 """Enumeration routines and the embedded expected tables."""
 
+import dataclasses
+
 import pytest
 
 from pcflab import search
@@ -126,6 +128,53 @@ def test_plane_scan_missing_a_point_fails_the_table(monkeypatch, name, scan):
     real = getattr(search, scan)
     monkeypatch.setattr(search, scan, lambda box: real(box)[1:])
     rep = reproduce_table(name)
+    assert not rep.match
+    assert not rep.missing and not rep.extra
+
+
+# the first PCF that really converges to the table's root, perturbed once per
+# table: it diverges (keeping its value, so a filter reading the value alone
+# would still keep it) or lands on the other root
+PERTURBATIONS = {
+    "diverges": lambda v: dataclasses.replace(v, converges=False, reason="patched"),
+    "other root": lambda v: dataclasses.replace(v, value=-v.value),
+}
+ROOTS = {"z_12": search.SQRT2, "pcf_rinds": search.ALPHA2, "pcf_pot": search.ALPHA2}
+
+
+def _perturb_first(monkeypatch, hit, change):
+    real = search.verdict
+    done = []
+
+    def patched(P):
+        v = real(P)
+        if not done and hit(v):
+            done.append(P)
+            return change(v)
+        return v
+
+    monkeypatch.setattr(search, "verdict", patched)
+    return done
+
+
+@pytest.mark.parametrize("how", PERTURBATIONS)
+@pytest.mark.parametrize("name", ROOTS)
+def test_convergence_filter_fails_the_table(monkeypatch, name, how):
+    root = ROOTS[name]
+    done = _perturb_first(monkeypatch, lambda v: v.converges and v.value == root, PERTURBATIONS[how])
+    rep = reproduce_table(name)
+    assert done
+    assert not rep.match
+
+
+@pytest.mark.parametrize("name", ["pcf_rinds", "pcf_pot"])
+def test_a_divergent_pcf_on_the_other_root_fails_the_table(monkeypatch, name):
+    # the kept PCFs stay the same, so only the all-converge check can object
+    root = ROOTS[name]
+    done = _perturb_first(monkeypatch, lambda v: v.converges and v.value == -root,
+                          PERTURBATIONS["diverges"])
+    rep = reproduce_table(name)
+    assert done
     assert not rep.match
     assert not rep.missing and not rep.extra
 
