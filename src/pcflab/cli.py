@@ -27,8 +27,6 @@ from .ring import (
     format_elem,
     parse_elem,
     sign_under_embedding,
-    sqrt_in_ring,
-    squarefree,
 )
 from .search import (
     KMAX,
@@ -49,13 +47,10 @@ USAGE_ERROR = 2
 class CliConfig:
     """Knobs shared by every subcommand."""
 
-    d: int = 2
     precision: int = 50
     format: str = "text"
 
     def __post_init__(self):
-        if not squarefree(self.d):
-            raise ValueError(f"ambient discriminant {self.d} must be squarefree and >= 2")
         if self.precision <= 0:
             raise ValueError("precision must be positive")
 
@@ -73,28 +68,10 @@ def _print_record(verdict: str, *, coords=None, pcf=None, residuals=None, value_
     _print_json(rec)
 
 
-def _require_d2(cfg: CliConfig, command: str):
-    if cfg.d != 2:
-        raise ValueError(f"{command} works over Z[sqrt(2)] only; drop --d {cfg.d}")
-
-
-def _ring_form(e: ExtElem, d: int) -> Optional[RingElem]:
-    th = e.theta
-    if isinstance(th, RingElem) and th.d is not None and th.b:
-        return None
-    s = sqrt_in_ring(th, d)
-    if s is None:
-        return None
-    return e.x + e.branch * e.y * s
-
-
-def _value_text(x, d: int = 2) -> str:
+def _value_text(x) -> str:
     if x is INF:
         return "inf"
     if isinstance(x, ExtElem):
-        simple = _ring_form(x, d)
-        if simple is not None:
-            return format_elem(simple)
         if not x.x:
             body = f"sqrt({format_elem(x.y * x.y * x.theta)})"
             return body if x.branch * sign_under_embedding(x.y) >= 0 else "-" + body
@@ -125,7 +102,7 @@ def _emit_pcf_result(P: Pcf, cfg: CliConfig, heading: str) -> int:
     if v.note:
         print(f"note: {v.note}")
     if v.converges:
-        print(f"value: {_value_text(v.value, cfg.d)}")
+        print(f"value: {_value_text(v.value)}")
         if dec is not None:
             print(f"decimal: {dec}")
         if v.reason == PARABOLIC:
@@ -139,19 +116,19 @@ def _emit_pcf_result(P: Pcf, cfg: CliConfig, heading: str) -> int:
         return 0
     if v.pariah_index is not None:
         print(f"pariah index: {v.pariah_index}")
-        print(f"pariah limit: {_value_text(v.pariah_limit, cfg.d)}")
+        print(f"pariah limit: {_value_text(v.pariah_limit)}")
         if v.pariah_limit is not INF:
             print(f"pariah limit decimal: {decimal_str(v.pariah_limit, cfg.precision)}")
     return MATH_NEGATIVE
 
 
 def cmd_eval(args, cfg: CliConfig) -> int:
-    P = Pcf.parse(args.pcf, cfg.d)
+    P = Pcf.parse(args.pcf)
     return _emit_pcf_result(P, cfg, "pcf")
 
 
 def cmd_dual(args, cfg: CliConfig) -> int:
-    P = Pcf.parse(args.pcf, cfg.d)
+    P = Pcf.parse(args.pcf)
     return _emit_pcf_result(dual(P), cfg, "dual")
 
 
@@ -165,12 +142,12 @@ def _parse_type(text: str) -> Tuple[int, int]:
     return n, k
 
 
-def _parse_tuple(text: str, d: int) -> Tuple[RingElem, ...]:
-    return tuple(parse_elem(p, d) for p in text.split(","))
+def _parse_tuple(text: str) -> Tuple[RingElem, ...]:
+    return tuple(parse_elem(p) for p in text.split(","))
 
 
-def _target_of(args, cfg: CliConfig) -> QuadPoly:
-    abc = _parse_tuple(args.target, cfg.d)
+def _target_of(args) -> QuadPoly:
+    abc = _parse_tuple(args.target)
     if len(abc) != 3:
         raise ValueError("target must be three comma-separated coefficients")
     if not any(abc):
@@ -178,8 +155,8 @@ def _target_of(args, cfg: CliConfig) -> QuadPoly:
     return QuadPoly(*abc)
 
 
-def _point_of(text: str, n: int, k: int, d: int) -> Pcf:
-    coords = _parse_tuple(text, d)
+def _point_of(text: str, n: int, k: int) -> Pcf:
+    coords = _parse_tuple(text)
     if len(coords) != n + k:
         raise ValueError("need n >= 0, k >= 1 and n + k coordinates")
     return Pcf(coords[:n], coords[n:])
@@ -191,10 +168,10 @@ def _coords_text(coords: Sequence[RingElem]) -> str:
 
 def cmd_variety_check(args, cfg: CliConfig) -> int:
     n, k = _parse_type(args.type)
-    T = _target_of(args, cfg)
+    T = _target_of(args)
     all_member = True
     for text in args.point:
-        P = _point_of(text, n, k, cfg.d)
+        P = _point_of(text, n, k)
         coords = P.pre + P.per
         res = variety_residuals(T, P)
         member = not any(res)
@@ -209,10 +186,10 @@ def cmd_variety_check(args, cfg: CliConfig) -> int:
 
 def cmd_fp_project(args, cfg: CliConfig) -> int:
     n, k = _parse_type(args.type)
-    T = _target_of(args, cfg)
+    T = _target_of(args)
     all_on = True
     for text in args.point:
-        P = _point_of(text, n, k, cfg.d)
+        P = _point_of(text, n, k)
         coords = P.pre + P.per
         try:
             xy = fp_project(T, P)
@@ -237,7 +214,6 @@ def cmd_fp_project(args, cfg: CliConfig) -> int:
 
 
 def cmd_search_table(args, cfg: CliConfig) -> int:
-    _require_d2(cfg, "search table")
     try:
         name = TableName(args.name)
     except ValueError:
@@ -275,8 +251,7 @@ def cmd_search_ljunggren(args, cfg: CliConfig) -> int:
 
 
 def cmd_search_ecurve(args, cfg: CliConfig) -> int:
-    _require_d2(cfg, "search ecurve")
-    pi = parse_elem(args.pi, cfg.d)
+    pi = parse_elem(args.pi)
     if args.kmax <= 0:
         raise ValueError("kmax must be positive")
     pts = solve_e_curve(pi, args.kmax)
@@ -291,7 +266,6 @@ def cmd_search_ecurve(args, cfg: CliConfig) -> int:
 
 
 def cmd_skolem(args, cfg: CliConfig) -> int:
-    _require_d2(cfg, "skolem")
     if cfg.format != "text":
         raise ValueError(f"skolem prints text only; drop --format {cfg.format}")
     if args.report == "rst":
@@ -320,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pcflab",
         description="Exact arithmetic for periodic continued fractions over quadratic rings.",
     )
-    parser.add_argument("--d", type=int, default=2, help="squarefree ambient discriminant >= 2")
     parser.add_argument(
         "--precision",
         type=int,
@@ -397,7 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         precision = args.precision
         if precision is None:
             precision = int(os.environ.get("PCFLAB_PRECISION", "50"))
-        cfg = CliConfig(d=args.d, precision=precision, format=args.format)
+        cfg = CliConfig(precision=precision, format=args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -56,11 +56,11 @@ class Pcf:
     def type_nk(self) -> Tuple[int, int]:
         return (len(self.pre), len(self.per))
 
-    def ambient_d(self) -> Optional[int]:
+    def ambient_d(self) -> int:
         return ambient_d_of(*self.pre, *self.per)
 
     @classmethod
-    def parse(cls, text: str, d: Optional[int] = 2) -> "Pcf":
+    def parse(cls, text: str) -> "Pcf":
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")) or s.count(";") != 1:
             raise ValueError(f"cannot parse PCF {text!r}")
@@ -70,7 +70,7 @@ class Pcf:
             part = part.strip()
             if not part:
                 return ()
-            return tuple(parse_elem(p, d) for p in part.split(","))
+            return tuple(parse_elem(p) for p in part.split(","))
 
         return cls(vals(pre_s), vals(per_s))
 

@@ -73,16 +73,19 @@ def _coord(x) -> Rat:
     return x.numerator if x.denominator == 1 else x
 
 
-def ambient_d_of(*elems) -> Optional[int]:
-    """The ``d`` of the first argument that is an irrational ``RingElem``.
+def ambient_d_of(*elems) -> int:
+    """The field the arguments live in: Q(sqrt d) for the ``d`` of the first
+    irrational ``RingElem``, and Q(sqrt 2) when no argument carries a field.
 
+    Rational data live in Q(sqrt 2), the package's field, so a value of
+    Q(sqrt 2) computed from rationals has one form: a ``RingElem``.
     Arguments that are not ``RingElem`` (``INF``, extension elements, None)
-    are skipped; None when no argument carries a field.
+    are skipped.
     """
     for e in elems:
         if isinstance(e, RingElem) and e.d is not None:
             return e.d
-    return None
+    return 2
 
 
 def power(x, k: int, one):
@@ -314,28 +317,22 @@ def sqrt_in_ring(e, d: Optional[int] = None) -> Optional[RingElem]:
     Returns None when ``e`` is not a square in that field.
     """
     e = RingElem._wrap(e)
-    amb = e.d if e.d is not None else d
-    if not e:
-        return RingElem(0)
-    if amb is None:
+    if e.d is None:
+        # a rational is a square in Q(sqrt d) iff it, or its quotient by d, is a rational square
         s = _rat_sqrt(e.a)
-        return None if s is None else RingElem(s)
+        if s is not None:
+            return RingElem(s)
+        y = None if d is None else _rat_sqrt(Fraction(e.a, d))
+        return None if y is None else RingElem(0, y, d)
     s = _rat_sqrt(e.norm())
     if s is None:
         return None
     for t in (Fraction(e.a + s, 2), Fraction(e.a - s, 2)):
+        # t == 0 would force b == 0, so an irrational e needs x0 != 0
         x0 = _rat_sqrt(t)
-        if x0 is None:
+        if not x0:
             continue
-        if x0 == 0:
-            if e.b != 0:
-                continue
-            y0 = _rat_sqrt(Fraction(e.a, amb))
-            if y0 is None:
-                continue
-            r = RingElem(0, y0, amb)
-        else:
-            r = RingElem(x0, Fraction(e.b, 2 * x0), amb)
+        r = RingElem(x0, Fraction(e.b, 2 * x0), e.d)
         if r * r == e:
             return r if r.sign_under_embedding() >= 0 else -r
     return None
@@ -364,7 +361,7 @@ class ExtElem:
 
     ``branch`` fixes which real square root ``v`` denotes: +1 for ``v > 0``
     under the base embedding, -1 for the other one.  Equality is equality of
-    the represented value, so e.g. ``1 + sqrt(8)/2`` equals ``1 + sqrt(2)``.
+    the represented value, so e.g. ``sqrt(8+8w)/2`` equals ``sqrt(2+2w)``.
     """
 
     __slots__ = ("x", "y", "theta", "branch")
@@ -553,7 +550,7 @@ def val2(x):
     ``v2(absolute norm)/4`` with values in quarter-integers.
     """
     if isinstance(x, ExtElem):
-        if ambient_d_of(x.x, x.y, x.theta) not in (None, 2) or all(x.theta != t for t in _VAL2_THETAS):
+        if ambient_d_of(x.x, x.y, x.theta) != 2 or all(x.theta != t for t in _VAL2_THETAS):
             raise ValueError("val2 supports only the two ramified extensions of Q(sqrt 2)")
         if not x:
             return math.inf
@@ -580,8 +577,8 @@ _ELEM_PATTERNS = (
 )
 
 
-def parse_elem(s: str, d: Optional[int] = 2) -> RingElem:
-    """Parse ``3-2*w``, ``w``, ``-7+5*w``, ``5/2*w``, ``-1/2`` forms."""
+def parse_elem(s: str) -> RingElem:
+    """Parse ``3-2*w``, ``w``, ``-7+5*w``, ``5/2*w``, ``-1/2`` forms; ``w`` is sqrt(2)."""
     text = s.replace(" ", "")
     try:
         for pat in _ELEM_PATTERNS:
@@ -594,9 +591,7 @@ def parse_elem(s: str, d: Optional[int] = 2) -> RingElem:
                 b = Fraction(g["b"]) if g["b"] else Fraction(1)
                 if g.get("bneg") or g.get("sign") == "-":
                     b = -b
-                if d is None:
-                    raise ValueError(f"{s!r} uses w but no d was given")
-                return RingElem(a, b, d)
+                return RingElem(a, b, 2)
             return RingElem(a)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in ring element {s!r}") from None

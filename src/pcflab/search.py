@@ -48,8 +48,6 @@ from .variety import (
     solve_small_type,
 )
 
-#: positive root of x^2 = 2
-SQRT2 = ExtElem(RingElem(0), RingElem(1), RingElem(2), 1)
 #: positive root of x^2 = 2 + sqrt(2)
 ALPHA2 = ExtElem(0, 1, WU, 1)
 
@@ -146,10 +144,9 @@ def solve_e_curve(pi, kmax: int = KMAX, use_filters: bool = True) -> List[Tuple[
 
     ``pi`` must be 2 (plain-integer case) or 2 + sqrt(2).  Candidates for b
     come from the divisor enumeration; each surviving candidate is finished
-    by exact division and a ring square root.  Congruence filters cut the
-    norm-one candidates (norm of b^2+1 lands in 4 mod 8) and the residues
-    where the norm of pi - b cannot be an integer square; the filters are
-    optional so their soundness can be cross-checked.
+    by exact division and a ring square root.  Over Z[sqrt 2] a congruence
+    filter cuts the norm-one candidates whose b^2 + 1 has norm 4 mod 8; it
+    is optional so its soundness can be cross-checked.
     """
     pi = RingElem._wrap(pi)
     if pi == RingElem(2):
@@ -162,15 +159,12 @@ def solve_e_curve(pi, kmax: int = KMAX, use_filters: bool = True) -> List[Tuple[
         raise ValueError(f"no divisor theory wired for target {pi}")
     pts = {}
     for b, tag in cands:
-        if use_filters and ambient == 2:
-            if _norm_one_cut(b, tag):
-                continue
-            if int((pi - b).norm()) % 4 == 3:
-                continue
+        if use_filters and ambient == 2 and _norm_one_cut(b, tag):
+            continue
         q = (pi - b) / (b * b)
         if not q.is_integral():
             continue
-        s = sqrt_in_ring(q, 2 if ambient else None)
+        s = sqrt_in_ring(q, ambient)
         if s is None or not s.is_integral():
             continue
         for a in (s, -s):
@@ -431,7 +425,7 @@ def _attached_pcfs(pts: Iterable[tuple]) -> List[Pcf]:
 
 def _pipeline_z_12():
     found = solve_e_curve(RingElem(2))
-    _, pos = _converging_to(SQRT2, _attached_pcfs(found))
+    _, pos = _converging_to(W, _attached_pcfs(found))
     want = [Pcf.parse("[1;2,2]"), Pcf.parse("[2;-2,4]")]
     checks = [
         ("exactly two attached PCFs converge to the positive square root", pos == want),

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .ring import U, W, WU, ExtElem, RingElem, format_elem, val2, val2_int
 
@@ -125,19 +125,12 @@ class AprimeRow:
     nz: int
 
 
-def aprime_z_table(krange: Optional[Iterable[int]] = None) -> List[AprimeRow]:
-    """Rows (a', z, norm of z) for exponent pairs {k, 1-k}, k even.
-
-    With no argument, covers the five smallest pairs.
-    """
-    ks = tuple(krange) if krange is not None else (0, 2, -2, 4, -4)
+def aprime_z_table() -> List[AprimeRow]:
+    """Rows (a', z, norm of z) for the five smallest exponent pairs {k, 1-k}, k even."""
     rows = []
-    for k in ks:
-        if k % 2:
-            raise ValueError("table rows are indexed by the even member of each pair")
+    for k in (0, 2, -2, 4, -4):
         x, y = power_coeffs(k)
-        n = y.norm()
-        rows.append(AprimeRow((k, 1 - k), x, y, int(n)))
+        rows.append(AprimeRow((k, 1 - k), x, y, int(y.norm())))
     return rows
 
 

@@ -11,7 +11,6 @@ from pcflab.pcf import Pcf, QuadPoly, e_matrix, e_matrix_continuant_form, extend
 from pcflab.ring import RingElem, norm, val2
 from pcflab.search import (
     ALPHA2,
-    SQRT2,
     TableName,
     ljunggren_oracle,
     load_table,
@@ -76,7 +75,7 @@ def rand_pcf(rng):
 def test_criterion_01_convergence_verdicts():
     with criterion(1):
         v = verdict(Pcf.parse("[1;2]"))
-        assert v.converges and v.value == SQRT2
+        assert v.converges and v.value == W
 
         assert not verdict(Pcf.parse("[1;-1,2]")).converges
 

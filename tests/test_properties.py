@@ -1,5 +1,6 @@
 """Property tests: two independent routes to the same answer."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import log10_reference
 from pcflab.intervals import Interval, log10_interval
-from pcflab.pcf import Pcf, QuadPoly, e_matrix, e_matrix_continuant_form
-from pcflab.ring import RingElem, sqrt_in_ring
+from pcflab.pcf import Pcf, QuadPoly, e_matrix, e_matrix_continuant_form, quad_roots
+from pcflab.ring import RingElem, sign_under_embedding, sqrt_in_ring
 from pcflab.variety import (
     curve21_quartic,
     curve21_residual,
@@ -244,3 +245,24 @@ def test_log10_interval_encloses_reference_and_mpmath(iv, digits):
     assert mp_log10_brackets(iv.hi, out.lo, out.hi, digits)
     # log10(hi) - log10(lo) <= (hi - lo)/lo
     assert out.width <= Fraction(1, 10 ** (digits + 4)) + iv.width / iv.lo
+
+
+rats = st.fractions(-50, 50, max_denominator=12)
+
+
+def is_rational_square(q: Fraction) -> bool:
+    return q >= 0 and all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+@DERANDOMIZED
+@given(rats, rats.filter(bool), st.one_of(rats, rats.map(lambda c: c * c), rats.map(lambda c: 2 * c * c)))
+def test_rational_data_stay_in_q_sqrt2(a, b, q):
+    # x^2 - 2a x + a^2 - 2b^2 has the roots a +- |b| sqrt(2), positive branch first
+    roots = quad_roots(QuadPoly(1, -2 * a, a * a - 2 * b * b))
+    assert all(type(r) is RingElem for r in roots)
+    assert roots == (RingElem(a, abs(b), 2), RingElem(a, -abs(b), 2))
+    # a rational is a square in Q(sqrt 2) iff it or its half is a rational square
+    s = sqrt_in_ring(q, 2)
+    assert (s is None) == (not is_rational_square(q) and not is_rational_square(q / 2))
+    if s is not None:
+        assert s * s == q and sign_under_embedding(s) >= 0

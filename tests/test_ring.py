@@ -134,15 +134,15 @@ def test_parse_format_round_trip():
     rng = random.Random(105)
     for _ in range(200):
         x = rand_elem(rng)
-        assert parse_elem(format_elem(x), 2) == x
-    assert parse_elem("3-2*w", 2) == RingElem(3, -2, 2)
-    assert parse_elem(" -1/2 ", 2) == RingElem(Fraction(-1, 2), 0, None)
-    assert parse_elem("w", 2) == W
-    assert parse_elem("-w", 2) == -W
+        assert parse_elem(format_elem(x)) == x
+    assert parse_elem("3-2*w") == RingElem(3, -2, 2)
+    assert parse_elem(" -1/2 ") == RingElem(Fraction(-1, 2), 0, None)
+    assert parse_elem("w") == W
+    assert parse_elem("-w") == -W
     with pytest.raises(ValueError):
-        parse_elem("3+*w", 2)
+        parse_elem("3+*w")
     with pytest.raises(ValueError, match="zero denominator"):
-        parse_elem("1-1/0*w", 2)
+        parse_elem("1-1/0*w")
 
 
 def test_floats_are_refused():
@@ -202,6 +202,10 @@ def test_ext_rejects_square_radicand():
         ExtElem(0, 1, RingElem(4, 0, 2), 1)
     with pytest.raises(ValueError):
         ExtElem(0, 1, RingElem(3, 2, 2), 1)  # (1+w)^2
+    # rational data live in Q(sqrt 2), where 8 and 2 are squares
+    for y, theta in ((Fraction(1, 2), 8), (1, 2)):
+        with pytest.raises(ValueError, match="is a square"):
+            ExtElem(0, y, theta)
 
 
 def test_ext_sign_under_embedding():

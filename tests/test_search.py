@@ -5,15 +5,17 @@ import dataclasses
 import pytest
 
 from pcflab import search
-from pcflab.ring import RingElem, norm
+from pcflab.ring import RingElem, W, norm
 from pcflab.search import (
     TableName,
+    _norm_one_cut,
     _solve_z22_03,
     int_range,
     ljunggren_oracle,
     load_table,
     reproduce_table,
     solve_e_curve,
+    unit_divisor_enum,
     zw_box,
 )
 
@@ -81,6 +83,14 @@ def test_e_curve_filters_are_sound():
     assert lazy == solve_e_curve(PI_SPLIT, kmax=12, use_filters=True)
 
 
+def test_norm_one_cut_covers_every_norm_of_pi_minus_b_3_mod_4():
+    # N(2 + w - b) = 3 mod 4 forces b = +-u^(2j), whose b^2 + 1 has norm 4 mod 8
+    cands = unit_divisor_enum(W, 80)
+    mod4 = [(b, tag) for b, tag in cands if int((PI_SPLIT - b).norm()) % 4 == 3]
+    assert (len(cands), len(mod4)) == (644, 162)
+    assert all(_norm_one_cut(b, tag) for b, tag in mod4)
+
+
 def test_z22_03_norm_one_filter_is_sound(monkeypatch):
     filtered = _solve_z22_03(20)
     assert len(filtered) == 16
@@ -139,7 +149,7 @@ PERTURBATIONS = {
     "diverges": lambda v: dataclasses.replace(v, converges=False, reason="patched"),
     "other root": lambda v: dataclasses.replace(v, value=-v.value),
 }
-ROOTS = {"z_12": search.SQRT2, "pcf_rinds": search.ALPHA2, "pcf_pot": search.ALPHA2}
+ROOTS = {"z_12": W, "pcf_rinds": search.ALPHA2, "pcf_pot": search.ALPHA2}
 
 
 def _perturb_first(monkeypatch, hit, change):

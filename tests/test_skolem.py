@@ -83,8 +83,6 @@ def test_aprime_z_frozen_rows():
     text = format_aprime_table(rows)
     assert "+-(449+317*w)" in text
     assert text.splitlines()[0].startswith("k")
-    with pytest.raises(ValueError):
-        aprime_z_table(krange=(1,))
 
 
 def test_index_pair_symmetry():
