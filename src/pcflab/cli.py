@@ -370,6 +370,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         precision = args.precision
         if precision is None:
             precision = int(os.environ.get("PCFLAB_PRECISION", "50"))
+        elif args.func not in (cmd_eval, cmd_dual):
+            # only eval and dual print decimals; an ignored flag would mislead
+            raise ValueError("--precision applies to eval and dual only")
         cfg = CliConfig(precision=precision, format=args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

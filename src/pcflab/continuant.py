@@ -8,7 +8,7 @@ an honest projective point here, carried by the ``INF`` singleton.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .ring import ExtElem, RingElem, power
 
@@ -130,11 +130,23 @@ def continuant_matrix(c) -> Mat2:
     return Mat2(c, 1, 1, 0)
 
 
-def cf_matrix(word: Iterable) -> Mat2:
-    out = Mat2.identity()
+def _prefix_entries(word: Iterable) -> Iterator[Tuple[RingElem, RingElem, RingElem, RingElem]]:
+    """Entries ``(e11, e12, e21, e22)`` of the matrix of each nonempty prefix.
+
+    Right multiplication by ``[[c, 1], [1, 0]]`` maps each row ``(x, y)`` to
+    ``(x*c + y, x)``: two ring products per entry of the word, not eight.
+    """
+    e11, e12, e21, e22 = RingElem(1), RingElem(0), RingElem(0), RingElem(1)
     for c in word:
-        out = out * continuant_matrix(c)
-    return out
+        e11, e12, e21, e22 = e11 * c + e12, e11, e21 * c + e22, e21
+        yield e11, e12, e21, e22
+
+
+def cf_matrix(word: Iterable) -> Mat2:
+    entries = (1, 0, 0, 1)  # the empty word
+    for entries in _prefix_entries(word):
+        pass
+    return Mat2(*entries)
 
 
 def continuant(word: Sequence) -> RingElem:
@@ -160,11 +172,6 @@ def finite_cf_value(word: Sequence) -> Value:
     return p / q
 
 
-def convergents(word: Sequence) -> List[Value]:
+def convergents(word: Iterable) -> List[Value]:
     """Values of all prefixes, starting with the empty one (INF)."""
-    out: List[Value] = [INF]
-    m = Mat2.identity()
-    for c in word:
-        m = m * continuant_matrix(c)
-        out.append(INF if not m.e21 else m.e11 / m.e21)
-    return out
+    return [INF] + [INF if not e21 else e11 / e21 for e11, _, e21, _ in _prefix_entries(word)]

@@ -7,6 +7,14 @@ on the unit circle with distinct roots), or some cyclic shift of the period
 has a vanishing lower-left entry with |lower-right| > 1.  Otherwise it
 converges to the fixed point whose eigenvalue has modulus above 1 (or to the
 double fixed point in the tangent case, sub-exponentially).
+
+That fixed point is picked by the closed form of the eigenvalues.  A
+loxodromic matrix has real eigenvalues summing to a nonzero trace ``tr``, so
+the expanding one is ``lam = (tr + sgn(tr) sqrt(disc)) / 2``, and a fixed
+point ``z`` is the limit exactly when ``lam(z) - tr/2`` has the sign of
+``tr``.  For an irrational root ``x + y*v`` that difference is ``(e21*y)*v``,
+and ``lam^2 - 1 = tr*lam - det - 1``, so no two extension elements are ever
+multiplied.
 """
 
 from __future__ import annotations
@@ -60,12 +68,6 @@ def ineq_check(per: Sequence) -> Optional[int]:
     return None
 
 
-def _eigenvalue_at(E: Mat2, z: Value):
-    if z is INF:
-        return E.e11
-    return E.e21 * z + E.e22
-
-
 def _mobius_case(E: Mat2) -> str:
     """IDENTITY_MULTIPLE, PARABOLIC, ELLIPTIC or LOXODROMIC for a determinant +-1 matrix."""
     if E.is_identity_multiple():
@@ -86,17 +88,26 @@ def _mobius_case(E: Mat2) -> str:
     return LOXODROMIC
 
 
-def _expanding_fixed_point(E: Mat2, points):
-    """First point whose eigenvalue ``lam`` has ``lam^2 > 1``, as ``(z, lam, lam^2 - 1)``.
+def _expanding_eigenvalue(E: Mat2, z: Value):
+    """``(lam, lam^2 - 1)`` when the fixed point ``z`` of the loxodromic ``E`` expands, else None.
 
-    None when no point qualifies.
+    The closed form of the module docstring: ``tr != 0``, because a zero
+    trace is elliptic, and ``z`` expands when ``lam(z) - tr/2`` has its sign.
     """
-    for z in points:
-        lam = _eigenvalue_at(E, z)
-        m1 = lam * lam - 1
-        if sign_under_embedding(m1) > 0:
-            return z, lam, m1
-    return None
+    tr = E.trace()
+    s_tr = tr.sign_under_embedding()
+    if isinstance(z, ExtElem) and z.y:
+        # a root x + y*v outside the base field has e21*x + e22 == tr/2, so
+        # lam - tr/2 == (e21*y)*v
+        e21y = E.e21 * z.y
+        if z.branch * e21y.sign_under_embedding() != s_tr:
+            return None
+        lam = z._sibling(tr / 2, e21y)
+    else:
+        lam = E.e11 if z is INF else E.e21 * z + E.e22
+        if sign_under_embedding(2 * lam - tr) != s_tr:
+            return None
+    return lam, lam * tr - (E.det() + 1)
 
 
 def verdict(P: Pcf) -> Verdict:
@@ -120,11 +131,12 @@ def verdict(P: Pcf) -> Verdict:
     if j is not None:
         limit = finite_cf_value(list(P.pre) + list(P.per[:j]))
         return Verdict(False, INEQ, pariah_index=j, pariah_limit=limit)
-    hit = _expanding_fixed_point(E, quad_roots(quad_poly_of_matrix(E), P.ambient_d()))
-    if hit is None:
-        raise AssertionError(f"no expanding fixed point found for {P}")
-    z, lam, m1 = hit
-    return Verdict(True, LOXODROMIC, value=z, eigenvalue=lam, eigen_modulus_sq_minus_1=m1)
+    for z in quad_roots(quad_poly_of_matrix(E), P.ambient_d()):
+        hit = _expanding_eigenvalue(E, z)
+        if hit is not None:
+            lam, m1 = hit
+            return Verdict(True, LOXODROMIC, value=z, eigenvalue=lam, eigen_modulus_sq_minus_1=m1)
+    raise AssertionError(f"no expanding fixed point found for {P}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +176,13 @@ def classify_mobius(A: Mat2, z: Value) -> MobiusClassification:
         return MobiusClassification(5, "diverges", None)
     if poly.is_root(z):
         # the start already sits on a fixed point; which one decides the case
-        if _expanding_fixed_point(A, (z,)):
+        if _expanding_eigenvalue(A, z) is not None:
             return MobiusClassification(6, "converges", z)
         return MobiusClassification(4, "fixed", z)
-    hit = _expanding_fixed_point(A, quad_roots(poly, ambient_d_of(*A.entries(), z)))
-    if hit is None:
-        raise AssertionError("no attracting fixed point in the generic case")
-    return MobiusClassification(6, "converges", hit[0])
+    for r in quad_roots(poly, ambient_d_of(*A.entries(), z)):
+        if _expanding_eigenvalue(A, r) is not None:
+            return MobiusClassification(6, "converges", r)
+    raise AssertionError("no attracting fixed point in the generic case")
 
 
 # ---------------------------------------------------------------------------

@@ -212,9 +212,10 @@ def quad_roots(q: QuadPoly, ambient_d: Optional[int] = None) -> Tuple[Value, Val
         return (r1, r2)
     center = -B / (2 * A)
     spread = 1 / (2 * A)
+    # disc was just proved a non-square, so the public constructor's check would repeat it
     return (
-        ExtElem(center, spread, disc, 1),
-        ExtElem(center, spread, disc, -1),
+        ExtElem._unchecked(center, spread, disc, 1),
+        ExtElem._unchecked(center, spread, disc, -1),
     )
 
 

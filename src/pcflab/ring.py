@@ -384,6 +384,24 @@ class ExtElem:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "branch", branch)
 
+    @classmethod
+    def _unchecked(cls, x: RingElem, y: RingElem, theta: RingElem, branch: int) -> "ExtElem":
+        """``x + y*v`` for a ``theta`` and ``branch`` already proved valid.
+
+        Arithmetic results reuse their operands' extension, so they skip the
+        non-square proof that the public constructor runs.
+        """
+        e = object.__new__(cls)
+        object.__setattr__(e, "x", x)
+        object.__setattr__(e, "y", y)
+        object.__setattr__(e, "theta", theta)
+        object.__setattr__(e, "branch", branch)
+        return e
+
+    def _sibling(self, x: RingElem, y: RingElem) -> "ExtElem":
+        """``x + y*v`` in the extension of ``self``."""
+        return ExtElem._unchecked(x, y, self.theta, self.branch)
+
     def __setattr__(self, *_):
         raise AttributeError("ExtElem is immutable")
 
@@ -391,11 +409,13 @@ class ExtElem:
         if self.theta != other.theta or self.branch != other.branch:
             raise ValueError("elements live in different extensions")
 
-    @classmethod
-    def _lift(cls, v, like: "ExtElem") -> "ExtElem":
+    @staticmethod
+    def _lift(v, like: "ExtElem") -> "ExtElem":
         if isinstance(v, ExtElem):
             return v
-        return cls(RingElem._wrap(v), 0, like.theta, like.branch)
+        v = RingElem._wrap(v)
+        v._join(like.theta)  # the public constructor's field check
+        return like._sibling(v, RingElem(0))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -405,7 +425,7 @@ class ExtElem:
         except TypeError:
             return NotImplemented
         self._compat(o)
-        return ExtElem(self.x + o.x, self.y + o.y, self.theta, self.branch)
+        return self._sibling(self.x + o.x, self.y + o.y)
 
     __radd__ = __add__
 
@@ -421,11 +441,9 @@ class ExtElem:
         except TypeError:
             return NotImplemented
         self._compat(o)
-        return ExtElem(
+        return self._sibling(
             self.x * o.x + self.theta * self.y * o.y,
             self.x * o.y + self.y * o.x,
-            self.theta,
-            self.branch,
         )
 
     __rmul__ = __mul__
@@ -434,7 +452,7 @@ class ExtElem:
         n = self.ext_norm()
         if not n:
             raise ZeroDivisionError("division by zero extension element")
-        return ExtElem(self.x / n, -self.y / n, self.theta, self.branch)
+        return self._sibling(self.x / n, -self.y / n)
 
     def __truediv__(self, other):
         o = self._lift(other, self)
@@ -446,10 +464,10 @@ class ExtElem:
     def __pow__(self, k: int) -> "ExtElem":
         if not isinstance(k, int):
             return NotImplemented
-        return power(self, k, ExtElem(1, 0, self.theta, self.branch))
+        return power(self, k, self._sibling(RingElem(1), RingElem(0)))
 
     def __neg__(self):
-        return ExtElem(-self.x, -self.y, self.theta, self.branch)
+        return self._sibling(-self.x, -self.y)
 
     def __bool__(self):
         return bool(self.x) or bool(self.y)
@@ -496,7 +514,7 @@ class ExtElem:
         return self.x * self.x - self.theta * self.y * self.y
 
     def ext_conj(self) -> "ExtElem":
-        return ExtElem(self.x, -self.y, self.theta, self.branch)
+        return self._sibling(self.x, -self.y)
 
     def sign_under_embedding(self) -> int:
         if self.theta.sign_under_embedding() < 0:

@@ -7,9 +7,10 @@ the final comparison step.
 
 from fractions import Fraction
 
-from pcflab.continuant import INF, Mat2, finite_cf_value
+from pcflab.continuant import INF, Mat2, continuant_matrix, finite_cf_value
 from pcflab.converge import classify_mobius
 from pcflab.intervals import Interval, elem_interval
+from pcflab.ring import sign_under_embedding
 
 
 def random_det_pm1_matrix(rng, steps=6):
@@ -84,6 +85,35 @@ def check_classification_agreement(A: Mat2, z, steps=100, tol=Fraction(1, 10 ** 
         d25, d50, d100 = (_gap(orbit[i], cls.limit) for i in (25, 50, len(orbit) - 1))
         assert d100 < d50 < d25, "no drift toward the tangent fixed point"
     return cls
+
+
+def cf_matrix_by_blocks(word) -> Mat2:
+    """The matrix of a word as the full product of its ``[[c, 1], [1, 0]]`` blocks."""
+    out = Mat2.identity()
+    for c in word:
+        out = out * continuant_matrix(c)
+    return out
+
+
+def _eigenvalue_at(E: Mat2, z):
+    if z is INF:
+        return E.e11
+    return E.e21 * z + E.e22
+
+
+def _expanding_fixed_point(E: Mat2, points):
+    """First point whose eigenvalue ``lam`` has ``lam^2 > 1``, as ``(z, lam, lam^2 - 1)``.
+
+    The reference route for the expanding fixed point: ``lam`` and
+    ``lam^2 - 1`` are formed by full products, with no closed form.  None when
+    no point qualifies.
+    """
+    for z in points:
+        lam = _eigenvalue_at(E, z)
+        m1 = lam * lam - 1
+        if sign_under_embedding(m1) > 0:
+            return z, lam, m1
+    return None
 
 
 def truncation_value(P, periods: int):

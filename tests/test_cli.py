@@ -222,6 +222,35 @@ def test_precision_flag_and_env(capsys, monkeypatch):
     assert "decimal: 1.414213562373" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variety", "check", "--type", "0,3", "--target", "1,0,-2", "--point", "1,1,0"],
+        ["fp", "project", "--type", "0,3", "--target", "1,0,-2", "--point", "1,1,0"],
+        ["search", "table", "z_03"],
+        ["search", "ljunggren", "--bound", "10"],
+        ["search", "ecurve", "--pi", "2+w", "--kmax", "2"],
+        ["skolem", "rst", "--nmax", "2"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_precision_is_rejected_where_no_decimals_print(capsys, monkeypatch, argv):
+    rc, out, err = run(capsys, "--precision", "7", *argv)
+    assert rc == 2
+    assert not out
+    assert "--precision" in err
+    # the environment variable stays a plain default
+    monkeypatch.setenv("PCFLAB_PRECISION", "7")
+    rc, out, err = run(capsys, *argv)
+    assert rc in (0, 1) and out and not err.startswith("error")
+
+
+def test_precision_flag_still_serves_eval(capsys):
+    rc, out, err = run(capsys, "--precision", "7", "eval", "[1;2]")
+    assert (rc, err) == (0, "")
+    assert "decimal: 1.4142136\n" in out
+
+
 def test_json_lines_schema_and_determinism(capsys):
     rc, out1, _ = run(capsys, "--format", "json-lines", "eval", "[1;2]")
     assert rc == 0

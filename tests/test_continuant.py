@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import cf_matrix_by_blocks
 from pcflab.continuant import (
     INF,
     Mat2,
     cf_matrix,
     continuant,
-    continuant_matrix,
     convergents,
     finite_cf_value,
 )
@@ -44,15 +44,33 @@ def test_matrix_form_matches_products():
     for _ in range(200):
         c = rand_entries(rng, rng.randint(1, 7))
         M = cf_matrix(c)
-        P = Mat2.identity()
-        for q in c:
-            P = P * continuant_matrix(q)
-        assert M == P
+        assert M == cf_matrix_by_blocks(c)
         assert M.e11 == continuant(c)
         assert M.e12 == continuant(c[:-1])
         assert M.e21 == continuant(c[1:])
         if len(c) >= 2:
             assert M.e22 == continuant(c[1:-1])
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        [],
+        [Fraction(7)],
+        [W],
+        [Fraction(3, 2), Fraction(-1, 3), Fraction(5)],
+        [RingElem(3, 1, 2), RingElem(-2), RingElem(5, -3, 2), RingElem(Fraction(1, 2), -1, 2)],
+        [2, Fraction(-5, 4), RingElem(0, 1, 2)],
+    ],
+)
+def test_two_row_recurrence_matches_block_products(word):
+    M = cf_matrix(word)
+    assert M == cf_matrix_by_blocks(word)
+    assert all(type(e) is RingElem for e in M.entries())
+    # each convergent is the left-column ratio of its prefix's block product
+    for i, value in enumerate(convergents(word)):
+        P = cf_matrix_by_blocks(word[:i])
+        assert value == (P.e11 / P.e21 if P.e21 else INF)
 
 
 def test_cf_matrix_determinant():

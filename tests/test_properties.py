@@ -1,6 +1,8 @@
 """Property tests: two independent routes to the same answer."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -8,10 +10,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import log10_reference
+from oracles import _expanding_fixed_point, log10_reference
+from pcflab.continuant import INF, Mat2
+from pcflab.converge import LOXODROMIC, _mobius_case, classify_mobius, verdict
 from pcflab.intervals import Interval, log10_interval
-from pcflab.pcf import Pcf, QuadPoly, e_matrix, e_matrix_continuant_form, quad_roots
-from pcflab.ring import RingElem, sign_under_embedding, sqrt_in_ring
+from pcflab.pcf import (
+    Pcf,
+    QuadPoly,
+    e_matrix,
+    e_matrix_continuant_form,
+    quad_poly_of_matrix,
+    quad_roots,
+)
+from pcflab.ring import U, W, RingElem, format_elem, parse_elem, sign_under_embedding, sqrt_in_ring
 from pcflab.variety import (
     curve21_quartic,
     curve21_residual,
@@ -266,3 +277,136 @@ def test_rational_data_stay_in_q_sqrt2(a, b, q):
     assert (s is None) == (not is_rational_square(q) and not is_rational_square(q / 2))
     if s is not None:
         assert s * s == q and sign_under_embedding(s) >= 0
+
+
+# -- the closed-form expanding fixed point against full products -------------
+#
+# verdict and classify_mobius pick the expanding fixed point by the sign of
+# lam - tr/2 and form lam^2 - 1 as tr*lam - det - 1; the oracle forms
+# lam = e21*z + e22 and lam*lam - 1 by full products and tests lam^2 > 1.
+
+z_pcfs = st.builds(
+    Pcf,
+    st.lists(st.integers(-9, 9), max_size=3).map(tuple),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(tuple),
+)
+# square and non-square discriminants, e21 = 0, and both determinants
+CLOSED_FORM_PCFS = (
+    "[;-2]",
+    "[;-2,-2]",
+    "[1;2]",
+    "[;-2-w,w]",
+    "[;-3]",
+    "[;-3,-3]",
+    "[;-3-w]",
+    "[;-3-w,-3-w]",
+    "[;-3-w,-1+w,-1-w]",
+    "[-3-w,-2-w;1-w,-2]",
+)
+generators = st.one_of(
+    zw.map(lambda c: Mat2(1, c, 0, 1)),
+    zw.map(lambda c: Mat2(1, 0, c, 1)),
+    st.just(Mat2(0, 1, 1, 0)),
+    st.just(Mat2(-1, 0, 0, 1)),
+    st.just(Mat2(U, 0, 0, U.inverse())),
+)
+det_pm1_matrices = st.lists(generators, min_size=1, max_size=5).map(
+    lambda ms: functools.reduce(operator.mul, ms)
+)
+CLOSED_FORM_MATRICES = (
+    Mat2(2, 1, 1, 1),
+    Mat2(3, 1, 1, 0),
+    Mat2(5, 2, 2, 1),
+    Mat2(2, 1, 1, 0),
+    Mat2(U, 1, 0, U.inverse()),
+    Mat2(U, W, 0, -U.inverse()),
+)
+
+
+def closed_form_kinds(E: Mat2) -> set:
+    disc = E.trace() * E.trace() - 4 * E.det()
+    return {
+        "square" if sqrt_in_ring(disc, 2) is not None else "non-square",
+        "e21 = 0" if not E.e21 else "e21 != 0",
+        f"det {E.det()}",
+    }
+
+
+ALL_KINDS = {"square", "non-square", "e21 = 0", "det 1", "det -1"}
+
+
+def assert_same_form(x, y):
+    assert x == y and str(x) == str(y) and repr(x) == repr(y)
+
+
+def assert_verdict_matches_oracle(P):
+    v = verdict(P)
+    assert v.reason == LOXODROMIC
+    E = e_matrix(P)
+    z, lam, m1 = _expanding_fixed_point(E, quad_roots(quad_poly_of_matrix(E)))
+    assert_same_form(v.value, z)
+    assert_same_form(v.eigenvalue, lam)
+    assert_same_form(v.eigen_modulus_sq_minus_1, m1)
+
+
+def reference_classification(A: Mat2, z):
+    poly = quad_poly_of_matrix(A)
+    if poly.is_root(z):
+        return (6, z) if _expanding_fixed_point(A, (z,)) else (4, z)
+    return 6, _expanding_fixed_point(A, quad_roots(poly))[0]
+
+
+def assert_classification_matches_oracle(A: Mat2, starts):
+    for z in starts:
+        c = classify_mobius(A, z)
+        case, limit = reference_classification(A, z)
+        assert c.case == case
+        assert_same_form(c.limit, limit)
+
+
+def test_closed_form_examples_cover_every_kind():
+    pcf_kinds = set().union(*(closed_form_kinds(e_matrix(Pcf.parse(t))) for t in CLOSED_FORM_PCFS))
+    assert ALL_KINDS <= pcf_kinds
+    assert ALL_KINDS <= set().union(*map(closed_form_kinds, CLOSED_FORM_MATRICES))
+    for text in CLOSED_FORM_PCFS:
+        assert_verdict_matches_oracle(Pcf.parse(text))
+    for A in CLOSED_FORM_MATRICES:
+        roots = quad_roots(quad_poly_of_matrix(A))
+        assert_classification_matches_oracle(A, roots + (Fraction(7, 3), INF))
+
+
+@DERANDOMIZED
+@given(st.one_of(pcfs, z_pcfs))
+def test_verdict_closed_form_matches_full_products(P):
+    assume(verdict(P).reason == LOXODROMIC)
+    assert_verdict_matches_oracle(P)
+
+
+@DERANDOMIZED
+@given(det_pm1_matrices, st.one_of(zw, st.just(INF)))
+def test_classify_closed_form_matches_full_products(A, start):
+    assume(_mobius_case(A) == LOXODROMIC)
+    roots = quad_roots(quad_poly_of_matrix(A))
+    # the start is a root only by chance; the roots themselves always are
+    assert_classification_matches_oracle(A, roots + (start,))
+
+
+# -- text round-trips ---------------------------------------------------------
+
+q2_rational = st.one_of(q_elems, q2_elems)
+
+
+@DERANDOMIZED
+@given(q2_rational)
+def test_parse_elem_inverts_format_elem(e):
+    assert parse_elem(format_elem(e)) == e
+
+
+@DERANDOMIZED
+@given(
+    st.lists(q2_rational, max_size=3).map(tuple),
+    st.lists(q2_rational, min_size=1, max_size=3).map(tuple),
+)
+def test_pcf_parse_inverts_str(pre, per):
+    P = Pcf(pre, per)
+    assert Pcf.parse(str(P)) == P

@@ -208,6 +208,40 @@ def test_ext_rejects_square_radicand():
             ExtElem(0, y, theta)
 
 
+def test_ext_rejects_zero_theta_and_bad_branch():
+    with pytest.raises(ValueError, match="nonzero"):
+        ExtElem(0, 1, 0)
+    with pytest.raises(ValueError, match="branch"):
+        ExtElem(0, 1, 3, 0)
+    with pytest.raises(ValueError, match="is a square"):
+        ExtElem(0, 1, 4)
+
+
+def test_ext_arithmetic_refuses_mixed_extensions():
+    theta = RingElem(2, 1, 2)
+    e = ExtElem(1, W, theta, 1)
+    for other in (ExtElem(1, W, RingElem(1, 1, 2), 1), ExtElem(1, W, theta, -1)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+            with pytest.raises(ValueError, match="different extensions"):
+                op(e, other)
+
+
+def test_ext_results_carry_their_extension():
+    for theta, branch in ((RingElem(2, 1, 2), 1), (RingElem(2, 1, 2), -1), (RingElem(3), -1)):
+        e = ExtElem(RingElem(1, -1, 2), RingElem(Fraction(1, 2), 3, 2), theta, branch)
+        f = ExtElem(-3, RingElem(0, 1, 2), theta, branch)
+        results = (
+            e + f, e - f, e * f, -e, e.inverse(), e / f, e ** 3, ext_conj(e),
+            e + W, W + e, e * 3, Fraction(1, 2) * e, 1 - e, 2 / e,
+        )
+        for r in results:
+            assert type(r) is ExtElem
+            assert (r.theta, r.branch) == (theta, branch)
+            assert type(r.x) is RingElem and type(r.y) is RingElem
+            # rebuilding through the checked constructor gives the same value
+            assert ExtElem(r.x, r.y, theta, branch) == r
+
+
 def test_ext_sign_under_embedding():
     theta = RingElem(2, 1, 2)
     alpha = ExtElem(0, 1, theta, 1)
