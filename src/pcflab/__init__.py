@@ -48,6 +48,7 @@ from .pcf import (
 from .ring import (
     ExtElem,
     RingElem,
+    W,
     conjugate,
     ext_conj,
     ext_norm,
@@ -55,7 +56,6 @@ from .ring import (
     norm,
     parse_elem,
     residue_class,
-    root,
     sign_under_embedding,
     sqrt_in_ring,
     unit_power,

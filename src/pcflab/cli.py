@@ -45,7 +45,7 @@ USAGE_ERROR = 2
 
 @dataclass
 class CliConfig:
-    """Knobs shared by every subcommand."""
+    """Output settings: the decimal digits that eval and dual print, and the format."""
 
     precision: int = 50
     format: str = "text"
@@ -364,16 +364,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _env_precision() -> int:
+    """The digits ``PCFLAB_PRECISION`` asks for; 50 when it is unset."""
+    text = os.environ.get("PCFLAB_PRECISION", "50")
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"PCFLAB_PRECISION must be a positive integer, got {text!r}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        precision = args.precision
-        if precision is None:
-            precision = int(os.environ.get("PCFLAB_PRECISION", "50"))
-        elif args.func not in (cmd_eval, cmd_dual):
+        if args.func in (cmd_eval, cmd_dual):
+            precision = _env_precision() if args.precision is None else args.precision
+            cfg = CliConfig(precision=precision, format=args.format)
+        elif args.precision is not None:
             # only eval and dual print decimals; an ignored flag would mislead
             raise ValueError("--precision applies to eval and dual only")
-        cfg = CliConfig(precision=precision, format=args.format)
+        else:
+            cfg = CliConfig(format=args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 from .continuant import INF, Mat2, Value, cf_matrix, finite_cf_value
 from .intervals import Interval, log10_interval, refine, value_interval
 from .pcf import Pcf, e_matrix, quad_poly_of_matrix, quad_roots
-from .ring import ExtElem, RingElem, ambient_d_of, sign_under_embedding
+from .ring import ExtElem, RingElem, sign_under_embedding
 
 # divergence reasons
 IDENTITY_MULTIPLE = "IdentityMultiple"
@@ -117,7 +117,7 @@ def verdict(P: Pcf) -> Verdict:
     if case in (IDENTITY_MULTIPLE, ELLIPTIC):
         return Verdict(False, case)
     if case == PARABOLIC:
-        value = quad_roots(quad_poly_of_matrix(E), P.ambient_d())[0]
+        value = quad_roots(quad_poly_of_matrix(E))[0]
         note = "all-roots-infinite" if value is INF else ""
         return Verdict(
             True,
@@ -131,7 +131,7 @@ def verdict(P: Pcf) -> Verdict:
     if j is not None:
         limit = finite_cf_value(list(P.pre) + list(P.per[:j]))
         return Verdict(False, INEQ, pariah_index=j, pariah_limit=limit)
-    for z in quad_roots(quad_poly_of_matrix(E), P.ambient_d()):
+    for z in quad_roots(quad_poly_of_matrix(E)):
         hit = _expanding_eigenvalue(E, z)
         if hit is not None:
             lam, m1 = hit
@@ -179,7 +179,7 @@ def classify_mobius(A: Mat2, z: Value) -> MobiusClassification:
         if _expanding_eigenvalue(A, z) is not None:
             return MobiusClassification(6, "converges", z)
         return MobiusClassification(4, "fixed", z)
-    for r in quad_roots(poly, ambient_d_of(*A.entries(), z)):
+    for r in quad_roots(poly):
         if _expanding_eigenvalue(A, r) is not None:
             return MobiusClassification(6, "converges", r)
     raise AssertionError("no attracting fixed point in the generic case")

@@ -136,9 +136,9 @@ def elem_interval(x: Number, prec_bits: int = 96) -> Interval:
             v = -v
         return elem_interval(x.x, prec_bits) + elem_interval(x.y, prec_bits) * v
     e = RingElem._wrap(x)
-    if e.d is None:
+    if not e.b:
         return Interval(e.a)
-    return Interval(e.a) + Interval(e.b) * sqrt_interval(Fraction(e.d), prec_bits)
+    return Interval(e.a) + Interval(e.b) * sqrt_interval(2, prec_bits)
 
 
 def refine(attempt, prec: int):

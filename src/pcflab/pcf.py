@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .continuant import INF, Mat2, Value, cf_matrix, continuant
-from .ring import ExtElem, RingElem, ambient_d_of, format_elem, parse_elem, sqrt_in_ring
+from .ring import ExtElem, RingElem, format_elem, parse_elem, sqrt_in_ring
 
 
 class IdentityMultipleError(ValueError):
@@ -55,9 +55,6 @@ class Pcf:
     @property
     def type_nk(self) -> Tuple[int, int]:
         return (len(self.pre), len(self.per))
-
-    def ambient_d(self) -> int:
-        return ambient_d_of(*self.pre, *self.per)
 
     @classmethod
     def parse(cls, text: str) -> "Pcf":
@@ -193,7 +190,7 @@ def quad_poly_of_matrix(E: Mat2) -> QuadPoly:
     return QuadPoly(E.e21, E.e22 - E.e11, -E.e12)
 
 
-def quad_roots(q: QuadPoly, ambient_d: Optional[int] = None) -> Tuple[Value, Value]:
+def quad_roots(q: QuadPoly) -> Tuple[Value, Value]:
     """Exact roots of a quadratic over the base field, INF included.
 
     For irrational roots the first entry carries the positive embedding branch.
@@ -205,7 +202,7 @@ def quad_roots(q: QuadPoly, ambient_d: Optional[int] = None) -> Tuple[Value, Val
             return (INF, INF)
         return (-C / B, INF)
     disc = qn.disc()
-    s = sqrt_in_ring(disc, ambient_d or ambient_d_of(A, B, C, disc))
+    s = sqrt_in_ring(disc)
     if s is not None:
         r1 = (-B + s) / (2 * A)
         r2 = (-B - s) / (2 * A)
@@ -220,7 +217,7 @@ def quad_roots(q: QuadPoly, ambient_d: Optional[int] = None) -> Tuple[Value, Val
 
 
 def roots(P: Pcf) -> Tuple[Value, Value]:
-    return quad_roots(quad_poly(P), P.ambient_d())
+    return quad_roots(quad_poly(P))
 
 
 def dual(P: Pcf) -> Pcf:

@@ -1,15 +1,14 @@
-"""Exact arithmetic in real quadratic fields and their quadratic extensions.
+"""Exact arithmetic in Q(sqrt 2) and its quadratic extensions.
 
 Two element types:
 
-* :class:`RingElem` -- ``a + b*sqrt(d)`` with exact rational ``a, b`` and a
-  squarefree ``d >= 2``.  Plain rationals are the degenerate case ``b == 0``
-  (then ``d`` is dropped, so ``RingElem(3, 0, 2) == RingElem(3)``).  A
-  coordinate is an ``int`` when integral and a ``Fraction`` only when its
-  denominator is not 1; every true quotient is formed with ``Fraction``, so
-  no ``int / int`` ever makes a float.
+* :class:`RingElem` -- ``a + b*w`` with ``w = sqrt 2`` and exact rational
+  ``a, b``.  Q(sqrt 2) is the package's one field: plain rationals are the
+  elements with ``b == 0``.  A coordinate is an ``int`` when integral and a
+  ``Fraction`` only when its denominator is not 1; every true quotient is
+  formed with ``Fraction``, so no ``int / int`` ever makes a float.
 * :class:`ExtElem` -- ``x + y*v`` with ``v*v == theta`` for a non-square
-  ``theta`` from the base field, plus an embedding sign selecting the real
+  ``theta`` from Q(sqrt 2), plus an embedding sign selecting the real
   branch ``v > 0`` or ``v < 0``.
 
 All comparisons reduce to rational sign tests; no floating point is used in
@@ -24,21 +23,6 @@ from fractions import Fraction
 from typing import Optional
 
 Rat = int | Fraction
-
-
-def squarefree(d: int) -> bool:
-    """The rule for an ambient field: ``d`` is squarefree and at least 2."""
-    if d < 2:
-        return False
-    p = 2
-    n = d
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1
-    return True
 
 
 def _rat_sqrt(q: Rat) -> Optional[Rat]:
@@ -73,21 +57,6 @@ def _coord(x) -> Rat:
     return x.numerator if x.denominator == 1 else x
 
 
-def ambient_d_of(*elems) -> int:
-    """The field the arguments live in: Q(sqrt d) for the ``d`` of the first
-    irrational ``RingElem``, and Q(sqrt 2) when no argument carries a field.
-
-    Rational data live in Q(sqrt 2), the package's field, so a value of
-    Q(sqrt 2) computed from rationals has one form: a ``RingElem``.
-    Arguments that are not ``RingElem`` (``INF``, extension elements, None)
-    are skipped.
-    """
-    for e in elems:
-        if isinstance(e, RingElem) and e.d is not None:
-            return e.d
-    return 2
-
-
 def power(x, k: int, one):
     """``x**k`` by repeated squaring from the identity ``one``.
 
@@ -105,26 +74,17 @@ def power(x, k: int, one):
 
 
 class RingElem:
-    """``a + b*sqrt(d)`` with exact rational coordinates.
+    """``a + b*sqrt(2)`` with exact rational coordinates; a rational when ``b == 0``.
 
     A coordinate is an ``int`` or a ``Fraction`` whose denominator is not 1,
     never a float: one stored form per value.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a: Rat = 0, b: Rat = 0, d: Optional[int] = None):
-        a = _coord(a)
-        b = _coord(b)
-        if b == 0:
-            d = None
-        elif d is None:
-            raise ValueError("irrational part needs a field: pass d")
-        elif not squarefree(d):
-            raise ValueError(f"d must be squarefree and >= 2, got {d}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+    def __init__(self, a: Rat = 0, b: Rat = 0):
+        object.__setattr__(self, "a", _coord(a))
+        object.__setattr__(self, "b", _coord(b))
 
     def __setattr__(self, *_):
         raise AttributeError("RingElem is immutable")
@@ -139,13 +99,6 @@ class RingElem:
             return RingElem(x)
         raise TypeError(f"cannot interpret {x!r} as a ring element")
 
-    def _join(self, other: "RingElem") -> Optional[int]:
-        if self.d is None:
-            return other.d
-        if other.d is None or other.d == self.d:
-            return self.d
-        raise ValueError(f"mixed fields: d={self.d} vs d={other.d}")
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -155,7 +108,7 @@ class RingElem:
             o = self._wrap(other)
         except TypeError:
             return NotImplemented
-        return RingElem(self.a + o.a, self.b + o.b, self._join(o))
+        return RingElem(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -166,7 +119,7 @@ class RingElem:
             o = self._wrap(other)
         except TypeError:
             return NotImplemented
-        return RingElem(self.a - o.a, self.b - o.b, self._join(o))
+        return RingElem(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -178,13 +131,7 @@ class RingElem:
             o = self._wrap(other)
         except TypeError:
             return NotImplemented
-        d = self._join(o)
-        dn = 0 if d is None else d
-        return RingElem(
-            self.a * o.a + dn * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
+        return RingElem(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
@@ -192,7 +139,7 @@ class RingElem:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero ring element")
-        return RingElem(Fraction(self.a, n), Fraction(-self.b, n), self.d)
+        return RingElem(Fraction(self.a, n), Fraction(-self.b, n))
 
     def __truediv__(self, other):
         if isinstance(other, ExtElem):
@@ -212,7 +159,7 @@ class RingElem:
         return power(self, k, RingElem(1))
 
     def __neg__(self):
-        return RingElem(-self.a, -self.b, self.d)
+        return RingElem(-self.a, -self.b)
 
     def __pos__(self):
         return self
@@ -226,25 +173,21 @@ class RingElem:
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         if isinstance(other, RingElem):
-            if self.b == 0 or other.b == 0:
-                return self.a == other.a and self.b == other.b
-            return self.a == other.a and self.b == other.b and self.d == other.d
+            return self.a == other.a and self.b == other.b
         return NotImplemented
 
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b))
 
     def __float__(self):
         if self.b == 0:
             return float(self.a)
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return float(self.a) + float(self.b) * math.sqrt(2)
 
     def __repr__(self):
-        if self.d is None:
-            return f"RingElem({str(self)!r})"
-        return f"RingElem({str(self)!r}, d={self.d})"
+        return f"RingElem({str(self)!r})"
 
     def __str__(self):
         return format_elem(self)
@@ -252,19 +195,17 @@ class RingElem:
     # -- field/ring operations -------------------------------------------
 
     def norm(self) -> Rat:
-        """Field norm down to the rationals (``a*a - d*b*b``)."""
-        if self.d is None:
-            return self.a * self.a
-        return self.a * self.a - self.d * self.b * self.b
+        """Field norm down to the rationals (``a*a - 2*b*b``)."""
+        return self.a * self.a - 2 * self.b * self.b
 
     def conjugate(self) -> "RingElem":
-        return RingElem(self.a, -self.b, self.d)
+        return RingElem(self.a, -self.b)
 
     def trace(self) -> Rat:
         return 2 * self.a
 
     def sign_under_embedding(self) -> int:
-        """Sign of the element under the embedding with ``sqrt(d) > 0``."""
+        """Sign of the element under the embedding with ``sqrt(2) > 0``."""
         a, b = self.a, self.b
         if b == 0:
             return _sgn(a)
@@ -273,8 +214,8 @@ class RingElem:
         sa, sb = _sgn(a), _sgn(b)
         if sa == sb:
             return sa
-        # opposite signs: |a| vs |b|*sqrt(d) decided by squares
-        return sa * _sgn(a * a - self.d * b * b)
+        # opposite signs: |a| vs |b|*sqrt(2) decided by squares
+        return sa * _sgn(a * a - 2 * b * b)
 
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
@@ -283,15 +224,10 @@ class RingElem:
         return self.is_integral() and abs(self.norm()) == 1
 
 
-def root(d: int) -> RingElem:
-    """The generator ``sqrt(d)`` itself."""
-    return RingElem(0, 1, d)
-
-
 # the constants of Z[sqrt(2)]: w = sqrt(2), the fundamental unit 1 + w, and 2 + w
-W = root(2)
-U = RingElem(1, 1, 2)
-WU = RingElem(2, 1, 2)
+W = RingElem(0, 1)
+U = RingElem(1, 1)
+WU = RingElem(2, 1)
 
 
 # module-level aliases mirroring the method names, convenient for mapping
@@ -309,21 +245,30 @@ def sign_under_embedding(e) -> int:
     return RingElem._wrap(e).sign_under_embedding()
 
 
-def sqrt_in_ring(e, d: Optional[int] = None) -> Optional[RingElem]:
-    """Square root of ``e`` inside Q(sqrt d), canonical nonnegative branch.
+def rational_sqrt(e) -> Optional[RingElem]:
+    """The nonnegative rational square root of ``e``, or None.
 
-    The ambient field is taken from ``e`` itself when it has an irrational
-    part, else from ``d``; with neither, only rational squares succeed.
-    Returns None when ``e`` is not a square in that field.
+    This is the square root over Q, the one a scan over the plain integers
+    needs: ``8`` has none here, though ``sqrt_in_ring(8)`` is ``2*w``.
     """
     e = RingElem._wrap(e)
-    if e.d is None:
-        # a rational is a square in Q(sqrt d) iff it, or its quotient by d, is a rational square
-        s = _rat_sqrt(e.a)
+    s = None if e.b else _rat_sqrt(e.a)
+    return None if s is None else RingElem(s)
+
+
+def sqrt_in_ring(e) -> Optional[RingElem]:
+    """Square root of ``e`` inside Q(sqrt 2), canonical nonnegative branch.
+
+    Returns None when ``e`` is not a square there.
+    """
+    e = RingElem._wrap(e)
+    if not e.b:
+        # a rational is a square in Q(sqrt 2) iff it, or its half, is a rational square
+        s = rational_sqrt(e)
         if s is not None:
-            return RingElem(s)
-        y = None if d is None else _rat_sqrt(Fraction(e.a, d))
-        return None if y is None else RingElem(0, y, d)
+            return s
+        y = _rat_sqrt(Fraction(e.a, 2))
+        return None if y is None else RingElem(0, y)
     s = _rat_sqrt(e.norm())
     if s is None:
         return None
@@ -332,7 +277,7 @@ def sqrt_in_ring(e, d: Optional[int] = None) -> Optional[RingElem]:
         x0 = _rat_sqrt(t)
         if not x0:
             continue
-        r = RingElem(x0, Fraction(e.b, 2 * x0), e.d)
+        r = RingElem(x0, Fraction(e.b, 2 * x0))
         if r * r == e:
             return r if r.sign_under_embedding() >= 0 else -r
     return None
@@ -372,12 +317,9 @@ class ExtElem:
         theta = RingElem._wrap(theta)
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
-        x._join(y)
-        x._join(theta)
-        y._join(theta)
         if not theta:
             raise ValueError("theta must be nonzero")
-        if sqrt_in_ring(theta, ambient_d_of(theta, x, y)) is not None:
+        if sqrt_in_ring(theta) is not None:
             raise ValueError(f"theta={theta} is a square; extension degenerates")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -413,9 +355,7 @@ class ExtElem:
     def _lift(v, like: "ExtElem") -> "ExtElem":
         if isinstance(v, ExtElem):
             return v
-        v = RingElem._wrap(v)
-        v._join(like.theta)  # the public constructor's field check
-        return like._sibling(v, RingElem(0))
+        return like._sibling(RingElem._wrap(v), RingElem(0))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -562,25 +502,17 @@ def _val2_fraction(q: Rat):
 def val2(x):
     """2-adic valuation, normalized so that ``val2(2) == 1``.
 
-    Accepts rationals, elements of Q(sqrt 2), and elements of the two
-    quadratic extensions of Q(sqrt 2) used here (``v*v == 1+w`` or
-    ``v*v == w``); in those, 2 is totally ramified, so the valuation is
-    ``v2(absolute norm)/4`` with values in quarter-integers.
+    Accepts elements of Q(sqrt 2), rationals among them, and elements of the
+    two quadratic extensions of Q(sqrt 2) used here (``v*v == 1+w`` or
+    ``v*v == w``).  2 ramifies in Q(sqrt 2) and again in each extension, so
+    the valuation is ``v2(norm to Q)`` divided by the degree, 2 or 4: half-
+    or quarter-integers.
     """
     if isinstance(x, ExtElem):
-        if ambient_d_of(x.x, x.y, x.theta) != 2 or all(x.theta != t for t in _VAL2_THETAS):
+        if all(x.theta != t for t in _VAL2_THETAS):
             raise ValueError("val2 supports only the two ramified extensions of Q(sqrt 2)")
-        if not x:
-            return math.inf
         return _val2_fraction(x.ext_norm().norm()) / 4
-    e = RingElem._wrap(x)
-    if e.d is None:
-        return _val2_fraction(e.a)
-    if e.d != 2:
-        raise ValueError("val2 is defined over Q(sqrt 2) only")
-    if not e:
-        return math.inf
-    return _val2_fraction(e.norm()) / 2
+    return _val2_fraction(RingElem._wrap(x).norm()) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +541,7 @@ def parse_elem(s: str) -> RingElem:
                 b = Fraction(g["b"]) if g["b"] else Fraction(1)
                 if g.get("bneg") or g.get("sign") == "-":
                     b = -b
-                return RingElem(a, b, 2)
+                return RingElem(a, b)
             return RingElem(a)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in ring element {s!r}") from None

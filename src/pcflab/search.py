@@ -5,7 +5,7 @@ congruence filters, and finite box searches, each paired with an exact
 residual check so that nothing leaves this module unverified.  The type
 ``(0,3)`` and ``(2,1)`` tables over the plain integers are derived exactly:
 the first by a divisor reduction, the second from the square values of a
-quartic, one ring square root per fiber.  Their box searches are
+quartic, one rational square root per fiber.  Their box searches are
 cross-checks on the plane models of ``variety``, each plane point lifted to
 a full point.  Expected results live as text fixtures under ``tables/`` and
 ``reproduce_table`` diffs a fresh enumeration against them.
@@ -31,6 +31,7 @@ from .ring import (
     RingElem,
     format_elem,
     parse_elem,
+    rational_sqrt,
     residue_class,
     sqrt_in_ring,
     unit_power,
@@ -150,21 +151,22 @@ def solve_e_curve(pi, kmax: int = KMAX, use_filters: bool = True) -> List[Tuple[
     """
     pi = RingElem._wrap(pi)
     if pi == RingElem(2):
+        # a point over the plain integers needs a rational root
         cands = [(RingElem(x), x * x) for x in (1, -1, 2, -2)]
-        ambient = None
+        root_of = rational_sqrt
     elif pi == WU:
         cands = unit_divisor_enum(W, kmax)
-        ambient = 2
+        root_of = sqrt_in_ring
     else:
         raise ValueError(f"no divisor theory wired for target {pi}")
     pts = {}
     for b, tag in cands:
-        if use_filters and ambient == 2 and _norm_one_cut(b, tag):
+        if use_filters and pi == WU and _norm_one_cut(b, tag):
             continue
         q = (pi - b) / (b * b)
         if not q.is_integral():
             continue
-        s = sqrt_in_ring(q, ambient)
+        s = root_of(q)
         if s is None or not s.is_integral():
             continue
         for a in (s, -s):
@@ -184,7 +186,7 @@ def zw_box(bound: int) -> List[RingElem]:
     out = []
     for p in range(-bound, bound + 1):
         for q in range(-bound, bound + 1):
-            out.append(RingElem(p, q, 2))
+            out.append(RingElem(p, q))
     return out
 
 
@@ -198,8 +200,11 @@ def box_search(residual: Callable, box: Sequence[Sequence[RingElem]]) -> List[tu
 
 
 def quartic_y1_scan(T: QuadPoly, bound: int) -> List[RingElem]:
-    """Integer first coordinates whose type-(2,1) quartic value is a square."""
-    return [y for y in int_range(bound) if sqrt_in_ring(curve21_quartic(T, y)) is not None]
+    """Integer first coordinates whose type-(2,1) quartic value is a rational square.
+
+    A root ``y*sqrt(2)`` gives no point over the plain integers.
+    """
+    return [y for y in int_range(bound) if rational_sqrt(curve21_quartic(T, y)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +312,7 @@ def _solve_z22_03(kmax: int) -> List[tuple]:
         q = (b * b + 1) / WU
         if not q.is_integral():
             continue
-        s = sqrt_in_ring(q, 2)
+        s = sqrt_in_ring(q)
         if s is None:
             continue
         for m in (s, -s):
@@ -345,7 +350,7 @@ def _solve_z_21(hits: Iterable[RingElem]) -> List[tuple]:
     T = TARGET_SQRT2
     pts = {}
     for y1 in hits:
-        s = sqrt_in_ring(curve21_quartic(T, y1))
+        s = rational_sqrt(curve21_quartic(T, y1))
         for r in (s, -s):
             y2 = (r - T.slope(y1)) / (2 * T(y1))
             if not y2.is_integral():
@@ -389,10 +394,10 @@ def _reduced_quartic_alpha2(y: RingElem) -> RingElem:
 
 
 def _pipeline_z22_21():
-    reps = [RingElem(p, q, 2) for p in range(4) for q in range(4)]
+    reps = [RingElem(p, q) for p in range(4) for q in range(4)]
     squares = {residue_class(r * r, 4) for r in reps}
     values = {residue_class(_reduced_quartic_alpha2(r), 4) for r in reps}
-    boxed = [y for y in zw_box(COEFF_BOX) if sqrt_in_ring(_reduced_quartic_alpha2(y), 2) is not None]
+    boxed = [y for y in zw_box(COEFF_BOX) if sqrt_in_ring(_reduced_quartic_alpha2(y)) is not None]
     checks = [
         ("square residues mod 4 as frozen", squares == set(SQUARES_MOD4_ZW)),
         ("reduced quartic residues mod 4 as frozen", values == set(REDUCED_QUARTIC_MOD4_ZW)),
@@ -408,7 +413,7 @@ def _pipeline_z22_21():
 
 
 def _fmt_res(r: Tuple[int, int]) -> str:
-    return format_elem(RingElem(r[0], r[1], 2))
+    return format_elem(RingElem(r[0], r[1]))
 
 
 def _converging_to(root, pcfs: Iterable[Pcf]) -> Tuple[bool, List[Pcf]]:

@@ -47,7 +47,7 @@ def context_l1() -> SkolemContext:
         _fail("L1", "base point has wrong relative norm")
     if U - v != -(alpha1 * u1):
         _fail("L1", "conjugate base point is not -alpha*unit")
-    if (1 - u1).ext_norm() != RingElem(4, 2, 2):
+    if (1 - u1).ext_norm() != RingElem(4, 2):
         _fail("L1", "1 - unit has wrong relative norm")
     if (1 - u1).ext_norm().norm() != 8:
         _fail("L1", "1 - unit has wrong rational norm")
@@ -63,13 +63,13 @@ def context_l2() -> SkolemContext:
     """Extension by a square root of sqrt(2), with self-checks."""
     theta = W
     v = ExtElem(0, 1, theta, 1)
-    u2 = ExtElem(RingElem(3, 2, 2), RingElem(2, 2, 2), theta, 1)
+    u2 = ExtElem(RingElem(3, 2), RingElem(2, 2), theta, 1)
     alpha2p = ExtElem(WU, -U, theta, 1)  # u * (w - v)
     if u2.ext_norm() != 1:
         _fail("L2", "distinguished unit has wrong relative norm")
     if u2 * (1 - v) != -(1 + v):
         _fail("L2", "unit does not swap 1 - v and -(1 + v)")
-    if (1 + v).ext_norm() != RingElem(1, -1, 2):
+    if (1 + v).ext_norm() != RingElem(1, -1):
         _fail("L2", "1 + v has wrong relative norm")
     if (1 + v).ext_norm().norm() != -1:
         _fail("L2", "1 + v is not a unit")

@@ -17,7 +17,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from .continuant import INF, cf_matrix
 from .pcf import Pcf, QuadPoly, e_matrix
-from .ring import W, WU, ExtElem, RingElem, ambient_d_of, conjugate, format_elem, sqrt_in_ring
+from .ring import W, WU, ExtElem, RingElem, conjugate, format_elem, sqrt_in_ring
 
 Coord = RingElem | ExtElem
 
@@ -139,7 +139,7 @@ def solve_small_type(T: QuadPoly, type_nk: Tuple[int, int]) -> SmallTypeSolution
         if not a1_sq:
             pt = (-beta / 2, RingElem(0))
             return SmallTypeSolution(nk, (pt,), True, False, "double point")
-        s = sqrt_in_ring(a1_sq, ambient_d_of(A, B, C))
+        s = sqrt_in_ring(a1_sq)
         if s is not None:
             pts = []
             for a1 in (s, -s):

@@ -43,8 +43,8 @@ from pcflab.variety import (
 )
 
 T2 = QuadPoly(1, 0, -2)
-TSW = QuadPoly(RingElem(1, 0, 2), RingElem(0, 0, 2), -RingElem(2, 1, 2))
-W = RingElem(0, 1, 2)
+TSW = QuadPoly(RingElem(1, 0), RingElem(0, 0), -RingElem(2, 1))
+W = RingElem(0, 1)
 
 
 class criterion:
@@ -169,7 +169,7 @@ def test_criterion_07_period_one_families():
 
 def test_criterion_08_period_two_family_and_curve():
     with criterion(8):
-        pts = solve_e_curve(RingElem(2, 1, 2), kmax=20)
+        pts = solve_e_curve(RingElem(2, 1), kmax=20)
         assert len(pts) == 21
         assert len(pts) % 4 == 1
         assert set(pts) == set(load_table(TableName.Z22_12))

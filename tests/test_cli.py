@@ -239,10 +239,21 @@ def test_precision_is_rejected_where_no_decimals_print(capsys, monkeypatch, argv
     assert rc == 2
     assert not out
     assert "--precision" in err
-    # the environment variable stays a plain default
-    monkeypatch.setenv("PCFLAB_PRECISION", "7")
-    rc, out, err = run(capsys, *argv)
-    assert rc in (0, 1) and out and not err.startswith("error")
+    # the environment variable stays a plain default, read by eval and dual only
+    for value in ("7", "abc", "0"):
+        monkeypatch.setenv("PCFLAB_PRECISION", value)
+        rc, out, err = run(capsys, *argv)
+        assert rc in (0, 1) and out and not err.startswith("error")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_precision_variable_names_itself(capsys, monkeypatch, value):
+    monkeypatch.setenv("PCFLAB_PRECISION", value)
+    for command in ("eval", "dual"):
+        rc, out, err = run(capsys, command, "[1;2]")
+        assert rc == 2
+        assert not out
+        assert "PCFLAB_PRECISION" in err
 
 
 def test_precision_flag_still_serves_eval(capsys):
@@ -296,7 +307,7 @@ def test_eval_limit_of_a_tiny_positive_radicand(capsys, n):
     # [; u^n, 1] with u = sqrt2 - 1: the limit is (c + sqrt(c^2 + 4c))/2 for
     # c = u^n, and the radicand c^2 + 4c is tiny and positive, so enclosing
     # it at a fixed absolute precision dips below 0
-    c = RingElem(-1, 1, 2) ** n
+    c = RingElem(-1, 1) ** n
     text = f"[;{c},1]"
     with mpmath.workdps(120):
         cv = mpmath.mpf(c.a) + mpmath.mpf(c.b) * mpmath.sqrt(2)

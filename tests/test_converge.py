@@ -27,9 +27,7 @@ from pcflab.converge import (
     verdict,
 )
 from pcflab.pcf import IdentityMultipleError, Pcf, dual, e_matrix, roots
-from pcflab.ring import ExtElem, RingElem, root, sign_under_embedding
-
-W = root(2)
+from pcflab.ring import ExtElem, RingElem, W, sign_under_embedding
 
 
 def test_headline_trio():
@@ -68,7 +66,7 @@ def test_ineq_check_rotations():
 def rand_pcf(rng, d=None):
     def entry():
         if d == 2:
-            return RingElem(rng.randint(-4, 4), rng.randint(-1, 1), 2)
+            return RingElem(rng.randint(-4, 4), rng.randint(-1, 1))
         q = Fraction(rng.randint(-4, 4))
         return q if rng.random() < 0.85 else q + Fraction(1, 2)
 
@@ -183,7 +181,7 @@ def test_ineq_pariah_subsequence():
         assert finite_cf_value(cut) == v.pariah_limit
 
 
-FIX_THETA = RingElem(2, 0, None)
+FIX_THETA = RingElem(2, 0)
 
 
 def test_classify_cases_deterministic():
@@ -278,7 +276,7 @@ def test_rate_one_pass_when_the_eigenvalue_is_far_from_one(monkeypatch):
 def test_rate_near_unit_eigenvalue_matches_mpmath(n):
     # [; u^n, 1], u = sqrt2 - 1: the period matrix has trace c + 2 and
     # determinant 1 for c = u^n, so |lambda| - 1 is about sqrt(c)
-    c = RingElem(-1, 1, 2) ** n
+    c = RingElem(-1, 1) ** n
     r = rate(Pcf.parse(f"[;{c},1]"))
     cpd = r.convergents_per_digit
     assert cpd.width <= cpd.lo / 10 ** 12

@@ -16,10 +16,9 @@ from pcflab.intervals import (
     sqrt_interval,
     value_interval,
 )
-from pcflab.ring import ExtElem, RingElem, root
+from pcflab.ring import ExtElem, RingElem, W
 
-W = root(2)
-ALPHA = ExtElem(0, 1, RingElem(2, 1, 2), 1)
+ALPHA = ExtElem(0, 1, RingElem(2, 1), 1)
 
 
 def rand_interval(rng):
@@ -83,7 +82,7 @@ def test_log10_interval():
         log10_interval(Interval(Fraction(-1), Fraction(1)), 10)
 
 
-U_VAL = RingElem(1, 1, 2)
+U_VAL = RingElem(1, 1)
 
 
 def test_decimal_str_rationals():

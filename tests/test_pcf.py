@@ -19,15 +19,13 @@ from pcflab.pcf import (
     quad_roots,
     roots,
 )
-from pcflab.ring import RingElem, root
-
-W = root(2)
+from pcflab.ring import RingElem, W
 
 
 def rand_pcf(rng, d=None, nmax=4, kmax=5, span=6):
     def entry():
         if d == 2:
-            return RingElem(rng.randint(-span, span), rng.randint(-2, 2), 2)
+            return RingElem(rng.randint(-span, span), rng.randint(-2, 2))
         q = Fraction(rng.randint(-span, span))
         return q if rng.random() < 0.9 else q + Fraction(1, 2)
 
@@ -43,7 +41,7 @@ def test_parse_str_round_trip():
         assert Pcf.parse(str(P)) == P
     assert Pcf.parse("[1; 2]").pre == (Fraction(1),)
     assert Pcf.parse("[; 2, -1/2, 1]").n == 0
-    assert Pcf.parse("[1+w; -2, 2+2*w]").per == (RingElem(-2, 0, None), RingElem(2, 2, 2))
+    assert Pcf.parse("[1+w; -2, 2+2*w]").per == (RingElem(-2, 0), RingElem(2, 2))
     with pytest.raises(ValueError):
         Pcf.parse("[1; 2; 3]")
 
@@ -166,5 +164,3 @@ def test_dual_shapes():
 def test_type_accessors():
     P = Pcf.parse("[1+w; -2, 2+2*w]")
     assert P.type_nk == (1, 2)
-    assert P.ambient_d() == 2
-    assert Pcf.parse("[; 5]").ambient_d() == 2

@@ -22,7 +22,18 @@ from pcflab.pcf import (
     quad_poly_of_matrix,
     quad_roots,
 )
-from pcflab.ring import U, W, RingElem, format_elem, parse_elem, sign_under_embedding, sqrt_in_ring
+from pcflab.ring import (
+    U,
+    W,
+    WU,
+    ExtElem,
+    RingElem,
+    ext_conj,
+    format_elem,
+    parse_elem,
+    sign_under_embedding,
+    sqrt_in_ring,
+)
 from pcflab.variety import (
     curve21_quartic,
     curve21_residual,
@@ -33,7 +44,7 @@ from pcflab.variety import (
 
 DERANDOMIZED = settings(max_examples=400, deadline=None, database=None, derandomize=True)
 
-zw = st.builds(lambda a, b: RingElem(a, b, 2), st.integers(-9, 9), st.integers(-9, 9))
+zw = st.builds(lambda a, b: RingElem(a, b), st.integers(-9, 9), st.integers(-9, 9))
 pcfs = st.builds(
     Pcf,
     st.lists(zw, max_size=3).map(tuple),
@@ -78,50 +89,46 @@ def test_plane21_model_discriminant_and_lift(A, B, C, y1, y2):
 
 # -- the int fast path of RingElem against an all-Fraction reference ---------
 #
-# A reference element is a pair of Fractions (a, b) standing for a + b*sqrt(d),
-# with d = 0 for the rationals; every reference operation stays in Fractions.
+# A reference element is a pair of Fractions (a, b) standing for a + b*sqrt(2);
+# every reference operation stays in Fractions.
 
 rats = st.one_of(
     st.integers(-12, 12),
     st.fractions(min_value=-12, max_value=12, max_denominator=6),
 )
-q_elems = st.builds(RingElem, rats)
-q2_elems = st.builds(lambda a, b: RingElem(a, b, 2), rats, rats)
-same_field_pairs = st.one_of(
-    st.tuples(st.just(0), q_elems, q_elems),
-    st.tuples(st.just(2), q2_elems, q2_elems),
-)
+# rationals on their own, so the int fast path meets pure-rational operands
+q2_elems = st.one_of(st.builds(RingElem, rats), st.builds(RingElem, rats, rats))
 
 
 def ref(e):
     return (Fraction(e.a), Fraction(e.b))
 
 
-def ref_mul(x, y, d):
-    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+def ref_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def ref_norm(x, d):
-    return x[0] * x[0] - d * x[1] * x[1]
+def ref_norm(x):
+    return x[0] * x[0] - 2 * x[1] * x[1]
 
 
-def ref_inverse(x, d):
-    n = ref_norm(x, d)
+def ref_inverse(x):
+    n = ref_norm(x)
     return (x[0] / n, -x[1] / n)
 
 
-def ref_sign(x, d):
+def ref_sign(x):
     a, b = x
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sb == 0 or sa == sb:
         return sa or sb
     if sa == 0:
         return sb
-    return sa * ((a * a > d * b * b) - (a * a < d * b * b))
+    return sa * ((a * a > 2 * b * b) - (a * a < 2 * b * b))
 
 
-def ref_nonnegative(x, d):
-    return x if ref_sign(x, d) >= 0 else (-x[0], -x[1])
+def ref_nonnegative(x):
+    return x if ref_sign(x) >= 0 else (-x[0], -x[1])
 
 
 def assert_canonical(e):
@@ -139,9 +146,8 @@ OPS = ("add", "sub", "mul", "div", "inverse", "norm", "conjugate", "pow", "sqrt"
 
 
 @DERANDOMIZED
-@given(same_field_pairs, st.sampled_from(OPS), st.integers(-3, 3))
-def test_int_fast_path_matches_fraction_reference(pair, op, k):
-    d, x, y = pair
+@given(q2_elems, q2_elems, st.sampled_from(OPS), st.integers(-3, 3))
+def test_int_fast_path_matches_fraction_reference(x, y, op, k):
     rx, ry = ref(x), ref(y)
     assert_canonical(x)
     if op == "add":
@@ -149,34 +155,34 @@ def test_int_fast_path_matches_fraction_reference(pair, op, k):
     elif op == "sub":
         assert_matches(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
     elif op == "mul":
-        assert_matches(x * y, ref_mul(rx, ry, d))
+        assert_matches(x * y, ref_mul(rx, ry))
     elif op == "div":
         assume(y)
-        assert_matches(x / y, ref_mul(rx, ref_inverse(ry, d), d))
+        assert_matches(x / y, ref_mul(rx, ref_inverse(ry)))
     elif op == "inverse":
         assume(x)
-        assert_matches(x.inverse(), ref_inverse(rx, d))
+        assert_matches(x.inverse(), ref_inverse(rx))
     elif op == "norm":
         n = x.norm()
         assert type(n) is int or n.denominator != 1
-        assert n == ref_norm(rx, d)
+        assert n == ref_norm(rx)
     elif op == "conjugate":
         assert_matches(x.conjugate(), (rx[0], -rx[1]))
     elif op == "pow":
         assume(x or k >= 0)
-        base = rx if k >= 0 else ref_inverse(rx, d)
+        base = rx if k >= 0 else ref_inverse(rx)
         expected = (Fraction(1), Fraction(0))
         for _ in range(abs(k)):
-            expected = ref_mul(expected, base, d)
+            expected = ref_mul(expected, base)
         assert_matches(x ** k, expected)
     else:
         # x*x is a square with root +-x, and 2*x*x one in Q(sqrt 2) with root
         # +-x*sqrt(2); the nonnegative root comes back.  -x*x - 1 is negative,
         # so it is no square.
-        assert_matches(sqrt_in_ring(x * x, d or None), ref_nonnegative(rx, d))
+        assert_matches(sqrt_in_ring(x * x), ref_nonnegative(rx))
         x_w = (2 * rx[1], rx[0])
-        assert_matches(sqrt_in_ring(2 * x * x, 2), ref_nonnegative(x_w, 2))
-        assert sqrt_in_ring(-x * x - 1, d or None) is None
+        assert_matches(sqrt_in_ring(2 * x * x), ref_nonnegative(x_w))
+        assert sqrt_in_ring(-x * x - 1) is None
 
 
 def test_integral_values_have_one_stored_form():
@@ -185,15 +191,71 @@ def test_integral_values_have_one_stored_form():
     for same in (RingElem(Fraction(3)), RingElem(Fraction(6, 2)), RingElem("3")):
         assert_canonical(same)
         assert same == three and hash(same) == hash(three)
-    e = RingElem(Fraction(4, 2), Fraction(-10, 5), 2)
+    e = RingElem(Fraction(4, 2), Fraction(-10, 5))
     assert (type(e.a), type(e.b)) == (int, int)
-    assert e == RingElem(2, -2, 2) and hash(e) == hash(RingElem(2, -2, 2))
-    half = RingElem(1, 1, 2) / 2
+    assert e == RingElem(2, -2) and hash(e) == hash(RingElem(2, -2))
+    half = RingElem(1, 1) / 2
     assert half.a == Fraction(1, 2) and type(half.a) is Fraction
 
 
+# -- field axioms in Q(sqrt 2) and its three extensions -----------------------
+#
+# The extensions are those of the paper's towers: v*v = 1+w, w or 2+w, each
+# with either real branch for v.  Their signs are checked against mpmath.
+
+EXTENSIONS = [(theta, branch) for theta in (U, W, WU) for branch in (1, -1)]
+small_q2 = st.builds(
+    RingElem,
+    st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=3)),
+    st.integers(-4, 4),
+)
+
+
+def assert_field_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    if x:
+        assert x * x.inverse() == 1
+
+
+@DERANDOMIZED
+@given(q2_elems, q2_elems, q2_elems)
+def test_ring_elems_form_a_field(x, y, z):
+    assert_field_axioms(x, y, z)
+    assert (x * y).norm() == x.norm() * y.norm()
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert sign_under_embedding(x) == ref_sign(ref(x))
+
+
+def mp_ext_value(e: ExtElem):
+    def real(r):
+        return mpmath.mpf(r.a.numerator) / r.a.denominator + (
+            mpmath.mpf(r.b.numerator) / r.b.denominator
+        ) * mpmath.sqrt(2)
+
+    return real(e.x) + e.branch * real(e.y) * mpmath.sqrt(real(e.theta))
+
+
+@DERANDOMIZED
+@given(st.sampled_from(EXTENSIONS), st.lists(small_q2, min_size=6, max_size=6))
+def test_ext_elems_form_a_field(ext, coords):
+    theta, branch = ext
+    x, y, z = (ExtElem(coords[i], coords[i + 1], theta, branch) for i in (0, 2, 4))
+    assert_field_axioms(x, y, z)
+    assert (x * y).ext_norm() == x.ext_norm() * y.ext_norm()
+    assert ext_conj(x * y) == ext_conj(x) * ext_conj(y)
+    # a nonzero value here is at least about 1e-9 in size, far above the error
+    with mpmath.workdps(50):
+        v = mp_ext_value(x)
+        assert (v > 0) - (v < 0) == sign_under_embedding(x)
+        assert bool(x) == (abs(v) > mpmath.mpf(10) ** -30)
+
+
 qw = st.builds(
-    lambda a, b: RingElem(a, b, 2),
+    lambda a, b: RingElem(a, b),
     st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=3)),
     st.integers(-3, 3),
 )
@@ -271,9 +333,9 @@ def test_rational_data_stay_in_q_sqrt2(a, b, q):
     # x^2 - 2a x + a^2 - 2b^2 has the roots a +- |b| sqrt(2), positive branch first
     roots = quad_roots(QuadPoly(1, -2 * a, a * a - 2 * b * b))
     assert all(type(r) is RingElem for r in roots)
-    assert roots == (RingElem(a, abs(b), 2), RingElem(a, -abs(b), 2))
+    assert roots == (RingElem(a, abs(b)), RingElem(a, -abs(b)))
     # a rational is a square in Q(sqrt 2) iff it or its half is a rational square
-    s = sqrt_in_ring(q, 2)
+    s = sqrt_in_ring(q)
     assert (s is None) == (not is_rational_square(q) and not is_rational_square(q / 2))
     if s is not None:
         assert s * s == q and sign_under_embedding(s) >= 0
@@ -326,7 +388,7 @@ CLOSED_FORM_MATRICES = (
 def closed_form_kinds(E: Mat2) -> set:
     disc = E.trace() * E.trace() - 4 * E.det()
     return {
-        "square" if sqrt_in_ring(disc, 2) is not None else "non-square",
+        "square" if sqrt_in_ring(disc) is not None else "non-square",
         "e21 = 0" if not E.e21 else "e21 != 0",
         f"det {E.det()}",
     }
@@ -393,19 +455,17 @@ def test_classify_closed_form_matches_full_products(A, start):
 
 # -- text round-trips ---------------------------------------------------------
 
-q2_rational = st.one_of(q_elems, q2_elems)
-
 
 @DERANDOMIZED
-@given(q2_rational)
+@given(q2_elems)
 def test_parse_elem_inverts_format_elem(e):
     assert parse_elem(format_elem(e)) == e
 
 
 @DERANDOMIZED
 @given(
-    st.lists(q2_rational, max_size=3).map(tuple),
-    st.lists(q2_rational, min_size=1, max_size=3).map(tuple),
+    st.lists(q2_elems, max_size=3).map(tuple),
+    st.lists(q2_elems, min_size=1, max_size=3).map(tuple),
 )
 def test_pcf_parse_inverts_str(pre, per):
     P = Pcf(pre, per)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from pcflab import search
+from pcflab.pcf import QuadPoly
 from pcflab.ring import RingElem, W, norm
 from pcflab.search import (
     TableName,
@@ -13,13 +14,15 @@ from pcflab.search import (
     int_range,
     ljunggren_oracle,
     load_table,
+    quartic_y1_scan,
     reproduce_table,
     solve_e_curve,
     unit_divisor_enum,
     zw_box,
 )
+from pcflab.variety import curve21_quartic
 
-PI_SPLIT = RingElem(2, 1, 2)
+PI_SPLIT = RingElem(2, 1)
 
 
 @pytest.mark.parametrize("name", [t.value for t in TableName])
@@ -59,8 +62,8 @@ def test_ljunggren_pairs():
 def test_search_axes():
     assert int_range(3) == [-3, -2, -1, 0, 1, 2, 3]
     box = zw_box(2)
-    assert RingElem(0, 0, 2) in box
-    assert RingElem(2, -2, 2) in box
+    assert RingElem(0, 0) in box
+    assert RingElem(2, -2) in box
     assert len(box) == len(set(box)) == 25
 
 
@@ -72,9 +75,9 @@ def test_e_curve_split_prime():
     assert len(negs) == 8
     assert {a for a, _ in negs} == {
         RingElem(1), RingElem(-1),
-        RingElem(1, -1, 2), RingElem(-1, 1, 2),
-        RingElem(13, 9, 2), RingElem(-13, -9, 2),
-        RingElem(31, -22, 2), RingElem(-31, 22, 2),
+        RingElem(1, -1), RingElem(-1, 1),
+        RingElem(13, 9), RingElem(-13, -9),
+        RingElem(31, -22), RingElem(-31, 22),
     }
 
 
@@ -190,8 +193,16 @@ def test_a_divergent_pcf_on_the_other_root_fails_the_table(monkeypatch, name):
 
 
 def test_z_21_table_comes_from_the_quartic_derivation(monkeypatch):
-    monkeypatch.setattr(search, "quartic_y1_scan", lambda T, bound, ambient=None: [RingElem(1)])
+    monkeypatch.setattr(search, "quartic_y1_scan", lambda T, bound: [RingElem(1)])
     rep = reproduce_table("z_21")
     assert not rep.match
     assert {p[0] for p in rep.missing} == {RingElem(-1)}
     assert {p[0] for p in rep.found} == {RingElem(1)}
+
+
+def test_plain_integer_quartic_scan_keeps_rational_roots():
+    # at y = +-2 the quartic of x^2 - 6 is 8 = (2w)^2, a square in Q(sqrt 2)
+    # but not of a rational, so no integer point lies over it
+    T = QuadPoly(1, 0, -6)
+    assert curve21_quartic(T, 2) == curve21_quartic(T, -2) == 8
+    assert quartic_y1_scan(T, 5) == []

@@ -20,8 +20,8 @@ from pcflab.skolem import (
     z_of_j,
 )
 
-W = RingElem(0, 1, 2)
-U = RingElem(1, 1, 2)
+W = RingElem(0, 1)
+U = RingElem(1, 1)
 
 
 def test_contexts_construct():
@@ -96,7 +96,7 @@ def test_index_pair_symmetry():
 def test_orbit_norm_is_constant():
     for k in range(-30, 31):
         x, y = power_coeffs(k)
-        assert x * x - U * y * y == RingElem(2, 1, 2)
+        assert x * x - U * y * y == RingElem(2, 1)
 
 
 def test_z_values_and_integer_norms():
@@ -114,7 +114,7 @@ def test_unit_norm_indices_match_curve_points():
     hits = {j for j in range(-30, 31) if nz(j) == 1}
     assert hits == {0, 1}
 
-    pts = solve_e_curve(RingElem(2, 1, 2), kmax=20)
+    pts = solve_e_curve(RingElem(2, 1), kmax=20)
     b_negs = {b for _, b in pts if norm(b) == -1}
     units = {z_of_j(j) * b for j in hits for b in b_negs}
     assert all(abs(norm(zb)) == 1 for zb in units)

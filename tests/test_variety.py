@@ -7,7 +7,7 @@ import pytest
 
 from pcflab.continuant import INF
 from pcflab.pcf import Pcf, QuadPoly
-from pcflab.ring import RingElem, parse_elem, root
+from pcflab.ring import RingElem, W, parse_elem
 from pcflab.search import load_table
 from pcflab.variety import (
     POINTS_X3_MINUS_4X,
@@ -42,10 +42,9 @@ from pcflab.variety import (
     vnk_residuals,
 )
 
-W = root(2)
-U = RingElem(1, 1, 2)
+U = RingElem(1, 1)
 T2 = QuadPoly(1, 0, -2)
-TSW = QuadPoly(RingElem(1, 0, 2), RingElem(0, 0, 2), -RingElem(2, 1, 2))
+TSW = QuadPoly(RingElem(1, 0), RingElem(0, 0), -RingElem(2, 1))
 
 ROWS_03 = [
     ("3-w", "1+w", "3-2*w"),
@@ -158,23 +157,23 @@ def test_z21_quartic_model():
 
 def test_curve12_and_e_reduction():
     p = curve12_point(TSW, U)
-    assert p == (U, RingElem(-2), RingElem(2, 2, 2))
+    assert p == (U, RingElem(-2), RingElem(2, 2))
     assert not curve12_residual(TSW, p[0], p[1])
     ab = reduce12_to_E(p[0], p[1])
     assert ab == (RingElem(-1), -U)
     assert lift12_from_E(*ab) == (U, RingElem(-2))
-    assert not e_curve_residual(RingElem(2, 1, 2), *ab)
+    assert not e_curve_residual(RingElem(2, 1), *ab)
     P = pcf_of_e_point(*ab)
     assert P.type_nk == (1, 2)
     assert P.pre == (ab[0] * ab[1],)
 
 
 def test_family_orbit():
-    orb = family_orbit(U, RingElem(-2, 0, 2))
+    orb = family_orbit(U, RingElem(-2, 0))
     assert len(set(orb)) == 4
     for y, x in orb:
         assert not curve12_residual(TSW, y, x)
-    assert (RingElem(-1, 0, 2), RingElem(2, -2, 2)) in orb
+    assert (RingElem(-1, 0), RingElem(2, -2)) in orb
 
 
 def test_orbit_transport_to_e_curve():
@@ -186,7 +185,7 @@ def test_orbit_transport_to_e_curve():
             if not xx:
                 continue
             aa, bb = reduce12_to_E(yy, xx)
-            assert not e_curve_residual(RingElem(2, 1, 2), aa, bb)
+            assert not e_curve_residual(RingElem(2, 1), aa, bb)
 
 
 def test_correspondence_round_trip():
