@@ -198,17 +198,26 @@ def test_integral_values_have_one_stored_form():
     assert half.a == Fraction(1, 2) and type(half.a) is Fraction
 
 
+qw = st.builds(
+    lambda a, b: RingElem(a, b),
+    st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=3)),
+    st.integers(-3, 3),
+)
+
+
+@DERANDOMIZED
+@given(st.lists(qw, min_size=1, max_size=4), st.lists(qw, min_size=1, max_size=3))
+def test_e_matrix_matches_continuant_form(pre, per):
+    P = Pcf(pre, per)
+    assert e_matrix(P) == e_matrix_continuant_form(P)
+
+
 # -- field axioms in Q(sqrt 2) and its three extensions -----------------------
 #
 # The extensions are those of the paper's towers: v*v = 1+w, w or 2+w, each
 # with either real branch for v.  Their signs are checked against mpmath.
 
 EXTENSIONS = [(theta, branch) for theta in (U, W, WU) for branch in (1, -1)]
-small_q2 = st.builds(
-    RingElem,
-    st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=3)),
-    st.integers(-4, 4),
-)
 
 
 def assert_field_axioms(x, y, z):
@@ -240,7 +249,7 @@ def mp_ext_value(e: ExtElem):
 
 
 @DERANDOMIZED
-@given(st.sampled_from(EXTENSIONS), st.lists(small_q2, min_size=6, max_size=6))
+@given(st.sampled_from(EXTENSIONS), st.lists(qw, min_size=6, max_size=6))
 def test_ext_elems_form_a_field(ext, coords):
     theta, branch = ext
     x, y, z = (ExtElem(coords[i], coords[i + 1], theta, branch) for i in (0, 2, 4))
@@ -252,20 +261,6 @@ def test_ext_elems_form_a_field(ext, coords):
         v = mp_ext_value(x)
         assert (v > 0) - (v < 0) == sign_under_embedding(x)
         assert bool(x) == (abs(v) > mpmath.mpf(10) ** -30)
-
-
-qw = st.builds(
-    lambda a, b: RingElem(a, b),
-    st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=3)),
-    st.integers(-3, 3),
-)
-
-
-@DERANDOMIZED
-@given(st.lists(qw, min_size=1, max_size=4), st.lists(qw, min_size=1, max_size=3))
-def test_e_matrix_matches_continuant_form(pre, per):
-    P = Pcf(pre, per)
-    assert e_matrix(P) == e_matrix_continuant_form(P)
 
 
 # -- fixed-point logarithms against the Fraction route and mpmath ------------
