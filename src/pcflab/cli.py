@@ -14,8 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .continuant import INF
 from .converge import PARABOLIC, rate, verdict
@@ -24,6 +23,7 @@ from .pcf import Pcf, QuadPoly, dual
 from .ring import (
     ExtElem,
     RingElem,
+    format_coords,
     format_elem,
     parse_elem,
     sign_under_embedding,
@@ -43,18 +43,6 @@ MATH_NEGATIVE = 1
 USAGE_ERROR = 2
 
 
-@dataclass
-class CliConfig:
-    """Output settings: the decimal digits that eval and dual print, and the format."""
-
-    precision: int = 50
-    format: str = "text"
-
-    def __post_init__(self):
-        if self.precision <= 0:
-            raise ValueError("precision must be positive")
-
-
 def _print_json(record: dict):
     print(json.dumps(record, sort_keys=True))
 
@@ -68,6 +56,14 @@ def _print_record(verdict: str, *, coords=None, pcf=None, residuals=None, value_
     _print_json(rec)
 
 
+def _emit(args, text: Optional[str], verdict: str, **record):
+    """One answer: its json-lines record under ``--format json-lines``, else ``text`` if any."""
+    if args.format == "json-lines":
+        _print_record(verdict, **record)
+    elif text is not None:
+        print(text)
+
+
 def _value_text(x) -> str:
     if x is INF:
         return "inf"
@@ -76,25 +72,21 @@ def _value_text(x) -> str:
             body = f"sqrt({format_elem(x.y * x.y * x.theta)})"
             return body if x.branch * sign_under_embedding(x.y) >= 0 else "-" + body
         return str(x)
-    if isinstance(x, RingElem):
-        return format_elem(x)
-    return str(x)
+    return format_elem(x)
 
 
 def _decimal_or_none(x, digits: int) -> Optional[str]:
-    if x is None or x is INF:
-        return None
-    return decimal_str(x, digits)
+    return None if x is INF else decimal_str(x, digits)
 
 
 def _verdict_label(v) -> str:
     return "Converges" if v.converges else f"Diverges({v.reason})"
 
 
-def _emit_pcf_result(P: Pcf, cfg: CliConfig, heading: str) -> int:
+def _emit_pcf_result(P: Pcf, args, heading: str) -> int:
     v = verdict(P)
-    dec = _decimal_or_none(v.value, cfg.precision) if v.converges else None
-    if cfg.format == "json-lines":
+    dec = _decimal_or_none(v.value, args.precision) if v.converges else None
+    if args.format == "json-lines":
         _print_record(_verdict_label(v), pcf=P, value_decimal=dec)
         return 0 if v.converges else MATH_NEGATIVE
     print(f"{heading}: {P}")
@@ -118,18 +110,18 @@ def _emit_pcf_result(P: Pcf, cfg: CliConfig, heading: str) -> int:
         print(f"pariah index: {v.pariah_index}")
         print(f"pariah limit: {_value_text(v.pariah_limit)}")
         if v.pariah_limit is not INF:
-            print(f"pariah limit decimal: {decimal_str(v.pariah_limit, cfg.precision)}")
+            print(f"pariah limit decimal: {decimal_str(v.pariah_limit, args.precision)}")
     return MATH_NEGATIVE
 
 
-def cmd_eval(args, cfg: CliConfig) -> int:
+def cmd_eval(args) -> int:
     P = Pcf.parse(args.pcf)
-    return _emit_pcf_result(P, cfg, "pcf")
+    return _emit_pcf_result(P, args, "pcf")
 
 
-def cmd_dual(args, cfg: CliConfig) -> int:
+def cmd_dual(args) -> int:
     P = Pcf.parse(args.pcf)
-    return _emit_pcf_result(dual(P), cfg, "dual")
+    return _emit_pcf_result(dual(P), args, "dual")
 
 
 def _parse_type(text: str) -> Tuple[int, int]:
@@ -162,11 +154,7 @@ def _point_of(text: str, n: int, k: int) -> Pcf:
     return Pcf(coords[:n], coords[n:])
 
 
-def _coords_text(coords: Sequence[RingElem]) -> str:
-    return ", ".join(format_elem(c) for c in coords)
-
-
-def cmd_variety_check(args, cfg: CliConfig) -> int:
+def cmd_variety_check(args) -> int:
     n, k = _parse_type(args.type)
     T = _target_of(args)
     all_member = True
@@ -176,15 +164,13 @@ def cmd_variety_check(args, cfg: CliConfig) -> int:
         res = variety_residuals(T, P)
         member = not any(res)
         all_member = all_member and member
-        if cfg.format == "json-lines":
-            _print_record("member" if member else "non-member", coords=coords, residuals=res)
-        else:
-            tag = "member" if member else "NOT a member"
-            print(f"point ({_coords_text(coords)}): residuals ({_coords_text(res)}), {tag}")
+        tag = "member" if member else "NOT a member"
+        line = f"point {format_coords(coords)}: residuals {format_coords(res)}, {tag}"
+        _emit(args, line, "member" if member else "non-member", coords=coords, residuals=res)
     return 0 if all_member else MATH_NEGATIVE
 
 
-def cmd_fp_project(args, cfg: CliConfig) -> int:
+def cmd_fp_project(args) -> int:
     n, k = _parse_type(args.type)
     T = _target_of(args)
     all_on = True
@@ -195,32 +181,26 @@ def cmd_fp_project(args, cfg: CliConfig) -> int:
             xy = fp_project(T, P)
         except ValueError as exc:
             print(f"math error: {exc}", file=sys.stderr)
-            if cfg.format == "json-lines":
-                _print_record("non-member", coords=coords)
+            _emit(args, None, "non-member", coords=coords)
             all_on = False
             continue
         r = fp_conic_residual(T, k, xy)
         on = not r
         all_on = all_on and on
-        if cfg.format == "json-lines":
-            _print_record("on-conic" if on else "off-conic", coords=xy, residuals=[r])
-        else:
-            tag = "on the conic" if on else "OFF the conic"
-            print(
-                f"point ({_coords_text(coords)}) -> ({_coords_text(xy)}): "
-                f"residual {format_elem(r)}, {tag}"
-            )
+        tag = "on the conic" if on else "OFF the conic"
+        line = f"point {format_coords(coords)} -> {format_coords(xy)}: residual {format_elem(r)}"
+        _emit(args, f"{line}, {tag}", "on-conic" if on else "off-conic", coords=xy, residuals=[r])
     return 0 if all_on else MATH_NEGATIVE
 
 
-def cmd_search_table(args, cfg: CliConfig) -> int:
+def cmd_search_table(args) -> int:
     try:
         name = TableName(args.name)
     except ValueError:
         known = ", ".join(t.value for t in TableName)
         raise ValueError(f"unknown table {args.name!r}; known tables: {known}")
     report = reproduce_table(name)
-    if cfg.format == "json-lines":
+    if args.format == "json-lines":
         found = [(e, "match" if e in report.expected else "extra") for e in report.found]
         for entry, status in found + [(e, "missing") for e in report.missing]:
             if isinstance(entry, Pcf):
@@ -236,38 +216,33 @@ def cmd_search_table(args, cfg: CliConfig) -> int:
     return 0 if report.match else MATH_NEGATIVE
 
 
-def cmd_search_ljunggren(args, cfg: CliConfig) -> int:
+def cmd_search_ljunggren(args) -> int:
     if args.bound <= 0:
         raise ValueError("bound must be positive")
     sols = ljunggren_oracle(args.bound)
-    if cfg.format == "json-lines":
-        for x, y in sols:
-            _print_record("solution", coords=(x, y), residuals=[x * x + 1 - 2 * y ** 4])
-    else:
-        for x, y in sols:
-            print(f"({x}, {y})")
+    for x, y in sols:
+        residual = x * x + 1 - 2 * y ** 4
+        _emit(args, format_coords((x, y)), "solution", coords=(x, y), residuals=[residual])
+    if args.format == "text":
         print(f"{len(sols)} solutions with |y| <= {args.bound}")
     return 0
 
 
-def cmd_search_ecurve(args, cfg: CliConfig) -> int:
+def cmd_search_ecurve(args) -> int:
     pi = parse_elem(args.pi)
     if args.kmax <= 0:
         raise ValueError("kmax must be positive")
     pts = solve_e_curve(pi, args.kmax)
-    if cfg.format == "json-lines":
-        for a, b in pts:
-            _print_record("on-curve", coords=(a, b), residuals=[e_curve_residual(pi, a, b)])
-    else:
-        for a, b in pts:
-            print(f"({format_elem(a)}, {format_elem(b)})")
+    for pt in pts:
+        _emit(args, format_coords(pt), "on-curve", coords=pt, residuals=[e_curve_residual(pi, *pt)])
+    if args.format == "text":
         print(f"{len(pts)} points with unit-scan exponent up to {args.kmax}")
     return 0
 
 
-def cmd_skolem(args, cfg: CliConfig) -> int:
-    if cfg.format != "text":
-        raise ValueError(f"skolem prints text only; drop --format {cfg.format}")
+def cmd_skolem(args) -> int:
+    if args.format != "text":
+        raise ValueError(f"skolem prints text only; drop --format {args.format}")
     if args.report == "rst":
         if args.nmax < 0:
             raise ValueError("nmax must be nonnegative")
@@ -379,18 +354,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.func in (cmd_eval, cmd_dual):
-            precision = _env_precision() if args.precision is None else args.precision
-            cfg = CliConfig(precision=precision, format=args.format)
+            if args.precision is None:
+                args.precision = _env_precision()
+            elif args.precision <= 0:
+                raise ValueError("precision must be positive")
         elif args.precision is not None:
             # only eval and dual print decimals; an ignored flag would mislead
             raise ValueError("--precision applies to eval and dual only")
-        else:
-            cfg = CliConfig(format=args.format)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        return args.func(args, cfg)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

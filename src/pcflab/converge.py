@@ -50,12 +50,6 @@ class Verdict:
     pariah_limit: Optional[Value] = None
     note: str = ""
 
-    def __str__(self):
-        if self.converges:
-            return f"Converges({self.value!r}, {self.reason})"
-        extra = f", j={self.pariah_index}" if self.pariah_index is not None else ""
-        return f"Diverges({self.reason}{extra})"
-
 
 def ineq_check(per: Sequence) -> Optional[int]:
     """Smallest shift j whose period matrix has entry21 = 0 and entry22^2 > 1."""
@@ -196,14 +190,6 @@ class RateResult:
     parabolic: bool
     eigen_abs: Optional[Interval] = None
     convergents_per_digit: Optional[Interval] = None
-
-    def __str__(self):
-        if self.parabolic:
-            return "sub-exponential (tangent case)"
-        return (
-            f"|eigenvalue| in [{float(self.eigen_abs.lo):.6g}, {float(self.eigen_abs.hi):.6g}], "
-            f"~{float(self.convergents_per_digit.mid):.6g} convergents per digit"
-        )
 
 
 def rate(P: Pcf, digits: int = 12, *, v: Optional[Verdict] = None) -> RateResult:

@@ -12,7 +12,7 @@ Two element types:
   branch ``v > 0`` or ``v < 0``.
 
 All comparisons reduce to rational sign tests; no floating point is used in
-any decision.  ``__float__`` exists for casual display only.
+any decision, and no element converts to a float.
 """
 
 from __future__ import annotations
@@ -168,8 +168,6 @@ class RingElem:
         return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        if isinstance(other, ExtElem):
-            return other.__eq__(self)
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         if isinstance(other, RingElem):
@@ -180,11 +178,6 @@ class RingElem:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b))
-
-    def __float__(self):
-        if self.b == 0:
-            return float(self.a)
-        return float(self.a) + float(self.b) * math.sqrt(2)
 
     def __repr__(self):
         return f"RingElem({str(self)!r})"
@@ -435,12 +428,6 @@ class ExtElem:
             return hash(self.x)
         return hash((self.x, key))
 
-    def __float__(self):
-        t = float(self.theta)
-        if t < 0:
-            raise ValueError("complex value has no float")
-        return float(self.x) + float(self.y) * self.branch * math.sqrt(t)
-
     def __repr__(self):
         return f"ExtElem({self.x!s}, {self.y!s}, theta={self.theta!s}, branch={self.branch:+d})"
 
@@ -557,3 +544,8 @@ def format_elem(e: RingElem) -> str:
     if e.a == 0:
         return wpart if e.b > 0 else f"-{wpart}"
     return f"{e.a}{'+' if e.b > 0 else '-'}{wpart}"
+
+
+def format_coords(coords) -> str:
+    """``(c1, c2, ...)``: the one text form of a point or coefficient tuple."""
+    return "(" + ", ".join(format_elem(c) for c in coords) + ")"

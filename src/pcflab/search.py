@@ -29,6 +29,7 @@ from .ring import (
     WU,
     ExtElem,
     RingElem,
+    format_coords,
     format_elem,
     parse_elem,
     rational_sqrt,
@@ -260,9 +261,7 @@ class TableReport:
 
 
 def _fmt_entry(entry) -> str:
-    if isinstance(entry, Pcf):
-        return str(entry)
-    return "(" + ", ".join(format_elem(c) for c in entry) + ")"
+    return str(entry) if isinstance(entry, Pcf) else format_coords(entry)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,9 @@ from typing import Callable, List, Sequence, Tuple
 
 from .continuant import INF, cf_matrix
 from .pcf import Pcf, QuadPoly, e_matrix
-from .ring import W, WU, ExtElem, RingElem, conjugate, format_elem, sqrt_in_ring
+from .ring import W, WU, ExtElem, RingElem, conjugate, format_coords, sqrt_in_ring
 
 Coord = RingElem | ExtElem
-
-
-def _tuple_text(coords: Sequence) -> str:
-    return "(" + ", ".join(format_elem(c) for c in coords) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +60,7 @@ def fp_project(T: QuadPoly, P: Pcf) -> Tuple[RingElem, RingElem]:
     """Image ``(E21, E22)`` of a member on the conic ``C x^2 - B xy + A y^2 = (-1)^k A``."""
     if not is_member(T, P):
         raise ValueError(
-            f"{_tuple_text(P.pre + P.per)} is not a member of the family {_tuple_text(T)}"
+            f"{format_coords(P.pre + P.per)} is not a member of the family {format_coords(T)}"
         )
     E = e_matrix(P)
     return (E.e21, E.e22)
@@ -91,17 +87,6 @@ class SmallTypeSolution:
     rational: bool
     degenerate: bool
     note: str = ""
-
-    def __str__(self):
-        if self.degenerate:
-            return f"type {self.type_nk}: degenerate component ({self.note})"
-        if not self.points:
-            return f"type {self.type_nk}: empty"
-        body = "; ".join(
-            "(" + ", ".join(str(c) for c in pt) + ")" for pt in self.points
-        )
-        tag = "" if self.rational else " [needs a quadratic extension]"
-        return f"type {self.type_nk}: {body}{tag}"
 
 
 def solve_small_type(T: QuadPoly, type_nk: Tuple[int, int]) -> SmallTypeSolution:

@@ -95,6 +95,25 @@ def test_dual_swaps_root(capsys):
     assert "-1.4142135623" in out
 
 
+@pytest.mark.parametrize("command", ["eval", "dual"])
+def test_all_roots_infinite_answer(capsys, command):
+    # the period matrix of [;1,0] fixes only the point at infinity
+    rc, out, err = run(capsys, command, "[;1,0]")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "verdict: Converges",
+        "note: all-roots-infinite",
+        "value: inf",
+        "rate: sub-exponential (tangent case)",
+    ]
+    assert "decimal:" not in out
+
+    rc, out, err = run(capsys, "--format", "json-lines", command, "[;1,0]")
+    assert (rc, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["verdict"] == "Converges" and rec["value_decimal"] is None
+
+
 def test_variety_check_exit_codes(capsys):
     base = ["variety", "check", "--type", "0,3", "--target", "1,0,-2"]
     rc, out, _ = run(capsys, *base, "--point", "1,1,0", "--point", "3,-1,2")
@@ -121,7 +140,7 @@ def test_fp_project_non_member_is_math_error(capsys):
 
     rc, out, err = run(capsys, *base, "--point", "1,1,1")
     assert rc == 1
-    assert "math error" in err
+    assert err == "math error: (1, 1, 1) is not a member of the family (1, 0, -2)\n"
 
     rc, _, err = run(capsys, *base, "--point", "1,1")
     assert rc == 2

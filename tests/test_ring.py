@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pcflab.ring import (
+    WU,
     ExtElem,
     RingElem,
     W,
@@ -161,6 +162,18 @@ def test_floats_are_refused():
     for args in ((0.1,), (1, 0.5)):
         with pytest.raises(TypeError, match="inexact"):
             RingElem(*args)
+
+
+def test_elements_do_not_convert_to_float():
+    for x in (W, RingElem(Fraction(1, 3)), ExtElem(0, 1, WU, 1)):
+        with pytest.raises(TypeError):
+            float(x)
+
+
+def test_ring_elem_compares_with_ext_elem_by_reflection():
+    assert RingElem(3) == ExtElem(3, 0, WU, 1)
+    assert W != ExtElem(0, 1, WU, 1)
+    assert W == ExtElem(W, 0, WU, -1) and W != ExtElem(W, 1, WU, -1)
 
 
 def test_cross_ambient_scalar_equality():

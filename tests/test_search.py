@@ -1,11 +1,12 @@
 """Enumeration routines and the embedded expected tables."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from pcflab import search
-from pcflab.pcf import QuadPoly
+from pcflab.pcf import Pcf, QuadPoly
 from pcflab.ring import RingElem, W, norm
 from pcflab.search import (
     TableName,
@@ -143,6 +144,35 @@ def test_plane_scan_missing_a_point_fails_the_table(monkeypatch, name, scan):
     rep = reproduce_table(name)
     assert not rep.match
     assert not rep.missing and not rep.extra
+
+
+# one expected entry dropped and one new entry added, for a point table and a
+# PCF table: the report names both
+TABLE_DIFFS = [
+    ("z_03", (RingElem(3), RingElem(-1), RingElem(2)), "(3, -1, 2)",
+     (RingElem(5), W, RingElem(Fraction(-1, 2))), "(5, w, -1/2)"),
+    ("pcf_pot", Pcf.parse("[w;2,2*w]"), "[w;2,2*w]", Pcf.parse("[1;-2+w]"), "[1;-2+w]"),
+]
+
+
+@pytest.mark.parametrize("name, dropped, dropped_text, added, added_text", TABLE_DIFFS)
+def test_table_report_lists_missing_and_extra_entries(
+    monkeypatch, name, dropped, dropped_text, added, added_text
+):
+    pipeline = search._PIPELINES[TableName(name)]
+
+    def patched():
+        found, checks, notes = pipeline()
+        assert dropped in found and added not in found
+        return [e for e in found if e != dropped] + [added], checks, notes
+
+    monkeypatch.setitem(search._PIPELINES, TableName(name), patched)
+    lines = str(reproduce_table(name)).splitlines()
+    assert not lines[0].endswith("exact match")
+    assert [line for line in lines if line.startswith(("  missing:", "  extra:"))] == [
+        f"  missing: {dropped_text}",
+        f"  extra:   {added_text}",
+    ]
 
 
 # the first PCF that really converges to the table's root, perturbed once per
