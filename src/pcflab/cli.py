@@ -20,14 +20,7 @@ from .continuant import INF
 from .converge import PARABOLIC, rate, verdict
 from .intervals import decimal_str
 from .pcf import Pcf, QuadPoly, dual
-from .ring import (
-    ExtElem,
-    RingElem,
-    format_coords,
-    format_elem,
-    parse_elem,
-    sign_under_embedding,
-)
+from .ring import RingElem, format_coords, format_elem, parse_elem
 from .search import (
     KMAX,
     LJUNGGREN_BOUND,
@@ -65,14 +58,7 @@ def _emit(args, text: Optional[str], verdict: str, **record):
 
 
 def _value_text(x) -> str:
-    if x is INF:
-        return "inf"
-    if isinstance(x, ExtElem):
-        if not x.x:
-            body = f"sqrt({format_elem(x.y * x.y * x.theta)})"
-            return body if x.branch * sign_under_embedding(x.y) >= 0 else "-" + body
-        return str(x)
-    return format_elem(x)
+    return "inf" if x is INF else format_elem(x)
 
 
 def _decimal_or_none(x, digits: int) -> Optional[str]:

@@ -94,7 +94,7 @@ def _expanding_eigenvalue(E: Mat2, z: Value):
         # a root x + y*v outside the base field has e21*x + e22 == tr/2, so
         # lam - tr/2 == (e21*y)*v
         e21y = E.e21 * z.y
-        if z.branch * e21y.sign_under_embedding() != s_tr:
+        if e21y.sign_under_embedding() != s_tr:
             return None
         lam = z._sibling(tr / 2, e21y)
     else:
@@ -159,11 +159,10 @@ def classify_mobius(A: Mat2, z: Value) -> MobiusClassification:
     case = _mobius_case(A)
     if case == IDENTITY_MULTIPLE:
         return MobiusClassification(1, "fixed", z)
+    poly = quad_poly_of_matrix(A)
     if case == PARABOLIC:
         # tangent: unique fixed point attracts every orbit
-        beta = (A.e11 - A.e22) / (2 * A.e21) if A.e21 else INF
-        return MobiusClassification(3, "converges", beta)
-    poly = quad_poly_of_matrix(A)
+        return MobiusClassification(3, "converges", quad_roots(poly)[0])
     if case == ELLIPTIC:
         if poly.is_root(z):
             return MobiusClassification(2, "fixed", z)

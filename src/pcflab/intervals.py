@@ -132,8 +132,6 @@ def elem_interval(x: Number, prec_bits: int = 96) -> Interval:
                 raise ValueError("cannot enclose a non-real value")
             th = Interval(0, th.hi)
         v = _sqrt_of_interval(th, prec_bits)
-        if x.branch < 0:
-            v = -v
         return elem_interval(x.x, prec_bits) + elem_interval(x.y, prec_bits) * v
     e = RingElem._wrap(x)
     if not e.b:

@@ -193,7 +193,9 @@ def quad_poly_of_matrix(E: Mat2) -> QuadPoly:
 def quad_roots(q: QuadPoly) -> Tuple[Value, Value]:
     """Exact roots of a quadratic over the base field, INF included.
 
-    For irrational roots the first entry carries the positive embedding branch.
+    Irrational roots are the conjugates ``center + spread*v`` and
+    ``center - spread*v``; the leading coefficient is normalized positive, so
+    ``spread > 0`` and the first entry is the larger root.
     """
     qn = q.normalized()
     A, B, C = qn
@@ -211,8 +213,8 @@ def quad_roots(q: QuadPoly) -> Tuple[Value, Value]:
     spread = 1 / (2 * A)
     # disc was just proved a non-square, so the public constructor's check would repeat it
     return (
-        ExtElem._unchecked(center, spread, disc, 1),
-        ExtElem._unchecked(center, spread, disc, -1),
+        ExtElem._unchecked(center, spread, disc),
+        ExtElem._unchecked(center, -spread, disc),
     )
 
 

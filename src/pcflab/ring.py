@@ -8,8 +8,10 @@ Two element types:
   ``Fraction`` only when its denominator is not 1; every true quotient is
   formed with ``Fraction``, so no ``int / int`` ever makes a float.
 * :class:`ExtElem` -- ``x + y*v`` with ``v*v == theta`` for a non-square
-  ``theta`` from Q(sqrt 2), plus an embedding sign selecting the real
-  branch ``v > 0`` or ``v < 0``.
+  ``theta`` from Q(sqrt 2), where ``v`` is the positive real root: the two
+  conjugates ``x +- y*v`` differ only in the sign of ``y``.
+
+:func:`format_elem` prints both element types.
 
 All comparisons reduce to rational sign tests; no floating point is used in
 any decision, and no element converts to a float.
@@ -53,7 +55,8 @@ def _coord(x) -> Rat:
     """The stored form of a coordinate: an ``int``, or a ``Fraction`` that is not integral."""
     if type(x) is int:
         return x
-    x = exact_fraction(x)
+    if type(x) is not Fraction:
+        x = exact_fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -93,31 +96,24 @@ class RingElem:
 
     @staticmethod
     def _wrap(x) -> "RingElem":
-        if isinstance(x, RingElem):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RingElem(x)
-        raise TypeError(f"cannot interpret {x!r} as a ring element")
+        o = _operand(x)
+        if o is None:
+            raise TypeError(f"cannot interpret {x!r} as a ring element")
+        return o
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, ExtElem):
-            return NotImplemented
-        try:
-            o = self._wrap(other)
-        except TypeError:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
         return RingElem(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, ExtElem):
-            return NotImplemented
-        try:
-            o = self._wrap(other)
-        except TypeError:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
         return RingElem(self.a - o.a, self.b - o.b)
 
@@ -125,11 +121,8 @@ class RingElem:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, ExtElem):
-            return NotImplemented
-        try:
-            o = self._wrap(other)
-        except TypeError:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
         return RingElem(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
@@ -142,11 +135,8 @@ class RingElem:
         return RingElem(Fraction(self.a, n), Fraction(-self.b, n))
 
     def __truediv__(self, other):
-        if isinstance(other, ExtElem):
-            return NotImplemented
-        try:
-            o = self._wrap(other)
-        except TypeError:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
         return self * o.inverse()
 
@@ -215,6 +205,15 @@ class RingElem:
 
     def is_unit(self) -> bool:
         return self.is_integral() and abs(self.norm()) == 1
+
+
+def _operand(x) -> Optional[RingElem]:
+    """``x`` as a ``RingElem`` when it is one, an ``int`` or a ``Fraction``; else None."""
+    if isinstance(x, RingElem):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return RingElem(x)
+    return None
 
 
 # the constants of Z[sqrt(2)]: w = sqrt(2), the fundamental unit 1 + w, and 2 + w
@@ -297,19 +296,18 @@ def residue_class(e, m: int) -> tuple:
 class ExtElem:
     """``x + y*v`` with ``v*v == theta``, theta a non-square base element.
 
-    ``branch`` fixes which real square root ``v`` denotes: +1 for ``v > 0``
-    under the base embedding, -1 for the other one.  Equality is equality of
-    the represented value, so e.g. ``sqrt(8+8w)/2`` equals ``sqrt(2+2w)``.
+    ``v`` is the positive real square root of ``theta`` under the base
+    embedding, so the sign of ``y`` alone says which root a value carries:
+    the conjugate of ``x + y*v`` is ``x - y*v``.  Equality is equality of the
+    represented value, so e.g. ``sqrt(8+8w)/2`` equals ``sqrt(2+2w)``.
     """
 
-    __slots__ = ("x", "y", "theta", "branch")
+    __slots__ = ("x", "y", "theta")
 
-    def __init__(self, x, y, theta, branch: int = 1):
+    def __init__(self, x, y, theta):
         x = RingElem._wrap(x)
         y = RingElem._wrap(y)
         theta = RingElem._wrap(theta)
-        if branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
         if not theta:
             raise ValueError("theta must be nonzero")
         if sqrt_in_ring(theta) is not None:
@@ -317,11 +315,10 @@ class ExtElem:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "branch", branch)
 
     @classmethod
-    def _unchecked(cls, x: RingElem, y: RingElem, theta: RingElem, branch: int) -> "ExtElem":
-        """``x + y*v`` for a ``theta`` and ``branch`` already proved valid.
+    def _unchecked(cls, x: RingElem, y: RingElem, theta: RingElem) -> "ExtElem":
+        """``x + y*v`` for a ``theta`` already proved a non-square.
 
         Arithmetic results reuse their operands' extension, so they skip the
         non-square proof that the public constructor runs.
@@ -330,18 +327,17 @@ class ExtElem:
         object.__setattr__(e, "x", x)
         object.__setattr__(e, "y", y)
         object.__setattr__(e, "theta", theta)
-        object.__setattr__(e, "branch", branch)
         return e
 
     def _sibling(self, x: RingElem, y: RingElem) -> "ExtElem":
         """``x + y*v`` in the extension of ``self``."""
-        return ExtElem._unchecked(x, y, self.theta, self.branch)
+        return ExtElem._unchecked(x, y, self.theta)
 
     def __setattr__(self, *_):
         raise AttributeError("ExtElem is immutable")
 
     def _compat(self, other: "ExtElem"):
-        if self.theta != other.theta or self.branch != other.branch:
+        if self.theta != other.theta:
             raise ValueError("elements live in different extensions")
 
     @staticmethod
@@ -412,8 +408,7 @@ class ExtElem:
         if not self.y:
             return None
         sq = self.y * self.y * self.theta
-        sgn = self.branch * self.y.sign_under_embedding()
-        return (sq, sgn)
+        return (sq, self.y.sign_under_embedding())
 
     def __eq__(self, other):
         if isinstance(other, ExtElem):
@@ -429,11 +424,10 @@ class ExtElem:
         return hash((self.x, key))
 
     def __repr__(self):
-        return f"ExtElem({self.x!s}, {self.y!s}, theta={self.theta!s}, branch={self.branch:+d})"
+        return f"ExtElem({self.x!s}, {self.y!s}, theta={self.theta!s})"
 
     def __str__(self):
-        v = "v" if self.branch == 1 else "(-v)"
-        return f"({self.x})+({self.y})*{v} [v^2={self.theta}]"
+        return format_elem(self)
 
     # -- operations -------------------------------------------------------
 
@@ -448,7 +442,7 @@ class ExtElem:
             raise ValueError("element is not real: theta < 0 under the embedding")
         if not self.y:
             return self.x.sign_under_embedding()
-        sy = self.branch * self.y.sign_under_embedding()
+        sy = self.y.sign_under_embedding()
         if not self.x:
             return sy
         sx = self.x.sign_under_embedding()
@@ -535,7 +529,21 @@ def parse_elem(s: str) -> RingElem:
     raise ValueError(f"cannot parse ring element {s!r}")
 
 
-def format_elem(e: RingElem) -> str:
+def format_elem(e) -> str:
+    """The text of an element: ``3-2*w`` for a ``RingElem``.
+
+    An ``ExtElem`` ``x + y*v`` prints as ``x+sqrt(r)`` or ``x-sqrt(r)`` with
+    ``r = y*y*theta``, as ``sqrt(r)`` or ``-sqrt(r)`` when ``x`` is 0, and as
+    ``x`` when ``y`` is 0.
+    """
+    if isinstance(e, ExtElem):
+        if not e.y:
+            return format_elem(e.x)
+        root = f"sqrt({format_elem(e.y * e.y * e.theta)})"
+        pos = e.y.sign_under_embedding() > 0
+        if not e.x:
+            return root if pos else f"-{root}"
+        return f"{format_elem(e.x)}{'+' if pos else '-'}{root}"
     e = RingElem._wrap(e)
     if e.b == 0:
         return str(e.a)

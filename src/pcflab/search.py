@@ -51,7 +51,7 @@ from .variety import (
 )
 
 #: positive root of x^2 = 2 + sqrt(2)
-ALPHA2 = ExtElem(0, 1, WU, 1)
+ALPHA2 = ExtElem(0, 1, WU)
 
 TARGET_SQRT2 = QuadPoly(1, 0, -2)
 TARGET_ALPHA2 = QuadPoly(1, 0, -WU)

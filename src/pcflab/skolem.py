@@ -38,9 +38,9 @@ def _fail(tag: str, what: str):
 def context_l1() -> SkolemContext:
     """Extension by a square root of the fundamental unit, with self-checks."""
     theta = U
-    v = ExtElem(0, 1, theta, 1)
-    u1 = ExtElem(-U, W, theta, 1)
-    alpha1 = ExtElem(U, 1, theta, 1)
+    v = ExtElem(0, 1, theta)
+    u1 = ExtElem(-U, W, theta)
+    alpha1 = ExtElem(U, 1, theta)
     if u1.ext_norm() != 1:
         _fail("L1", "distinguished unit has wrong relative norm")
     if alpha1.ext_norm() != WU:
@@ -62,9 +62,9 @@ def context_l1() -> SkolemContext:
 def context_l2() -> SkolemContext:
     """Extension by a square root of sqrt(2), with self-checks."""
     theta = W
-    v = ExtElem(0, 1, theta, 1)
-    u2 = ExtElem(RingElem(3, 2), RingElem(2, 2), theta, 1)
-    alpha2p = ExtElem(WU, -U, theta, 1)  # u * (w - v)
+    v = ExtElem(0, 1, theta)
+    u2 = ExtElem(RingElem(3, 2), RingElem(2, 2), theta)
+    alpha2p = ExtElem(WU, -U, theta)  # u * (w - v)
     if u2.ext_norm() != 1:
         _fail("L2", "distinguished unit has wrong relative norm")
     if u2 * (1 - v) != -(1 + v):

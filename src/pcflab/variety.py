@@ -125,16 +125,10 @@ def solve_small_type(T: QuadPoly, type_nk: Tuple[int, int]) -> SmallTypeSolution
             pt = (-beta / 2, RingElem(0))
             return SmallTypeSolution(nk, (pt,), True, False, "double point")
         s = sqrt_in_ring(a1_sq)
-        if s is not None:
-            pts = []
-            for a1 in (s, -s):
-                pts.append(((a1 - beta) / 2, a1))
-            return SmallTypeSolution(nk, tuple(pts), True, False)
-        pts = []
-        for branch in (1, -1):
-            a1 = ExtElem(RingElem(0), RingElem(1), a1_sq, branch)
-            pts.append(((a1 - beta) / 2, a1))
-        return SmallTypeSolution(nk, tuple(pts), False, False)
+        rational = s is not None
+        a1s = (s, -s) if rational else (ExtElem(0, 1, a1_sq), ExtElem(0, -1, a1_sq))
+        pts = tuple(((a1 - beta) / 2, a1) for a1 in a1s)
+        return SmallTypeSolution(nk, pts, rational, False)
     raise ValueError(f"no closed form for type {nk}")
 
 

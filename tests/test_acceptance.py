@@ -212,7 +212,7 @@ def test_criterion_09_two_adic_certificates():
         u1, v = c.unit, c.v
         assert u1.x ** 2 - c.theta * u1.y ** 2 == 1
         assert (1 + W) - v == -(c.alpha * u1)
-        one_minus = type(u1)(RingElem(1) - u1.x, -u1.y, c.theta, u1.branch)
+        one_minus = type(u1)(RingElem(1) - u1.x, -u1.y, c.theta)
         rel = one_minus.x ** 2 - c.theta * one_minus.y ** 2
         assert norm(rel) == 8
         assert val2(RingElem(1) + v.x + 0) is not None  # v has no rational part

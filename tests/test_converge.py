@@ -205,7 +205,7 @@ def test_classify_cases_deterministic():
 
     # starting exactly on the repelling fixed point pins the orbit there
     lox = Mat2(Fraction(2), Fraction(1), Fraction(1), Fraction(1))
-    rep = ExtElem(Fraction(1, 2), Fraction(-1, 2), 5, 1)  # (1 - sqrt 5) / 2
+    rep = ExtElem(Fraction(1, 2), Fraction(-1, 2), 5)  # (1 - sqrt 5) / 2
     c = classify_mobius(lox, rep)
     assert (c.case, c.outcome) == (4, "fixed")
     assert c.limit == rep
@@ -216,7 +216,7 @@ def test_classify_cases_deterministic():
     assert (c.case, c.outcome) == (5, "diverges")
 
     # generic start under a loxodromic map reaches the attracting point
-    att = ExtElem(Fraction(1, 2), Fraction(1, 2), 5, 1)
+    att = ExtElem(Fraction(1, 2), Fraction(1, 2), 5)
     c = classify_mobius(lox, Fraction(1))
     assert (c.case, c.outcome) == (6, "converges")
     assert c.limit == att

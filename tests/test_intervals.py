@@ -18,7 +18,7 @@ from pcflab.intervals import (
 )
 from pcflab.ring import ExtElem, RingElem, W
 
-ALPHA = ExtElem(0, 1, RingElem(2, 1), 1)
+ALPHA = ExtElem(0, 1, RingElem(2, 1))
 
 
 def rand_interval(rng):

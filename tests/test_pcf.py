@@ -19,7 +19,7 @@ from pcflab.pcf import (
     quad_roots,
     roots,
 )
-from pcflab.ring import RingElem, W
+from pcflab.ring import ExtElem, RingElem, W, ext_conj, sign_under_embedding
 
 
 def rand_pcf(rng, d=None, nmax=4, kmax=5, span=6):
@@ -115,6 +115,17 @@ def test_quad_poly_basics():
     assert second == 1 - W
     assert q.is_root(first)
     assert q.is_root(second)
+
+
+def test_irrational_roots_are_conjugates_of_one_extension():
+    # x^2 + x - 1 and (1+w) x^2 - 3 x - w: discriminants 5 and 9+4w are non-squares
+    for q in (QuadPoly(1, 1, -1), QuadPoly(RingElem(1, 1), -3, -W)):
+        A, B, C = q.normalized()
+        z1, z2 = quad_roots(q)
+        assert type(z1) is ExtElem and sign_under_embedding(z1 - z2) == 1
+        assert z1 + z2 == -B / A
+        assert z1 * z2 == C / A
+        assert z1 == ext_conj(z2)
 
 
 def test_roots_type_01():

@@ -214,10 +214,11 @@ def test_e_matrix_matches_continuant_form(pre, per):
 
 # -- field axioms in Q(sqrt 2) and its three extensions -----------------------
 #
-# The extensions are those of the paper's towers: v*v = 1+w, w or 2+w, each
-# with either real branch for v.  Their signs are checked against mpmath.
+# The extensions are those of the paper's towers: v*v = 1+w, w or 2+w, with
+# v > 0; the sign of y picks either real root.  Signs and printed values are
+# checked against mpmath.
 
-EXTENSIONS = [(theta, branch) for theta in (U, W, WU) for branch in (1, -1)]
+EXTENSIONS = [U, W, WU]
 
 
 def assert_field_axioms(x, y, z):
@@ -239,20 +240,31 @@ def test_ring_elems_form_a_field(x, y, z):
     assert sign_under_embedding(x) == ref_sign(ref(x))
 
 
-def mp_ext_value(e: ExtElem):
-    def real(r):
-        return mpmath.mpf(r.a.numerator) / r.a.denominator + (
-            mpmath.mpf(r.b.numerator) / r.b.denominator
-        ) * mpmath.sqrt(2)
+def mp_real(r: RingElem):
+    return mpmath.mpf(r.a.numerator) / r.a.denominator + (
+        mpmath.mpf(r.b.numerator) / r.b.denominator
+    ) * mpmath.sqrt(2)
 
-    return real(e.x) + e.branch * real(e.y) * mpmath.sqrt(real(e.theta))
+
+def mp_ext_value(e: ExtElem):
+    return mp_real(e.x) + mp_real(e.y) * mpmath.sqrt(mp_real(e.theta))
+
+
+def mp_printed_value(text: str):
+    """mpmath value of ``x``, ``[x]+sqrt(r)`` or ``[x]-sqrt(r)``; ``parse_elem`` reads the parts."""
+    head, root, tail = text.partition("sqrt(")
+    if not root:
+        return mp_real(parse_elem(text))
+    assert tail.endswith(")") and head[-1:] in ("", "+", "-")
+    x = mp_real(parse_elem(head[:-1])) if head[:-1] else 0
+    sign = -1 if head.endswith("-") else 1
+    return x + sign * mpmath.sqrt(mp_real(parse_elem(tail[:-1])))
 
 
 @DERANDOMIZED
 @given(st.sampled_from(EXTENSIONS), st.lists(qw, min_size=6, max_size=6))
-def test_ext_elems_form_a_field(ext, coords):
-    theta, branch = ext
-    x, y, z = (ExtElem(coords[i], coords[i + 1], theta, branch) for i in (0, 2, 4))
+def test_ext_elems_form_a_field(theta, coords):
+    x, y, z = (ExtElem(coords[i], coords[i + 1], theta) for i in (0, 2, 4))
     assert_field_axioms(x, y, z)
     assert (x * y).ext_norm() == x.ext_norm() * y.ext_norm()
     assert ext_conj(x * y) == ext_conj(x) * ext_conj(y)
@@ -261,6 +273,14 @@ def test_ext_elems_form_a_field(ext, coords):
         v = mp_ext_value(x)
         assert (v > 0) - (v < 0) == sign_under_embedding(x)
         assert bool(x) == (abs(v) > mpmath.mpf(10) ** -30)
+
+
+@DERANDOMIZED
+@given(st.sampled_from(EXTENSIONS), qw, qw, st.sampled_from((1, -1)))
+def test_format_elem_prints_the_ext_value(theta, x, y, sign):
+    e = ExtElem(x, sign * y, theta)
+    with mpmath.workdps(50):
+        assert abs(mp_printed_value(format_elem(e)) - mp_ext_value(e)) < mpmath.mpf(10) ** -45
 
 
 # -- fixed-point logarithms against the Fraction route and mpmath ------------

@@ -165,15 +165,15 @@ def test_floats_are_refused():
 
 
 def test_elements_do_not_convert_to_float():
-    for x in (W, RingElem(Fraction(1, 3)), ExtElem(0, 1, WU, 1)):
+    for x in (W, RingElem(Fraction(1, 3)), ExtElem(0, 1, WU)):
         with pytest.raises(TypeError):
             float(x)
 
 
 def test_ring_elem_compares_with_ext_elem_by_reflection():
-    assert RingElem(3) == ExtElem(3, 0, WU, 1)
-    assert W != ExtElem(0, 1, WU, 1)
-    assert W == ExtElem(W, 0, WU, -1) and W != ExtElem(W, 1, WU, -1)
+    assert RingElem(3) == ExtElem(3, 0, WU)
+    assert W != ExtElem(0, 1, WU)
+    assert W == ExtElem(W, 0, WU) and W != ExtElem(W, -1, WU)
 
 
 def test_cross_ambient_scalar_equality():
@@ -182,12 +182,11 @@ def test_cross_ambient_scalar_equality():
     assert hash(RingElem(Fraction(3), 0)) == hash(RingElem(3, 0))
 
 
-def ext_rand(rng, theta, branch):
+def ext_rand(rng, theta):
     return ExtElem(
         RingElem(rng.randint(-9, 9), rng.randint(-9, 9)),
         RingElem(rng.randint(-9, 9), rng.randint(-9, 9)),
         theta,
-        branch,
     )
 
 
@@ -195,17 +194,16 @@ def test_ext_arithmetic_and_norm():
     theta = RingElem(2, 1)
     rng = random.Random(106)
     for _ in range(150):
-        branch = rng.choice((1, -1))
-        e, f = ext_rand(rng, theta, branch), ext_rand(rng, theta, branch)
+        e, f = ext_rand(rng, theta), ext_rand(rng, theta)
         assert ext_norm(e * f) == ext_norm(e) * ext_norm(f)
-        assert e * ext_conj(e) == ExtElem(ext_norm(e), 0, theta, 1)
+        assert e * ext_conj(e) == ExtElem(ext_norm(e), 0, theta)
         if e:
             assert (f / e) * e == f
 
 
 def test_ext_pow_negative():
     theta = RingElem(1, 1)
-    e = ExtElem(-U, W, theta, 1)  # a relative-norm-1 unit
+    e = ExtElem(-U, W, theta)  # a relative-norm-1 unit
     assert e ** 0 == 1
     assert e ** 3 == e * e * e
     assert e ** -2 == 1 / (e * e)
@@ -213,65 +211,63 @@ def test_ext_pow_negative():
 
 
 def test_ext_value_identity():
-    # same value, different presentation: negating y flips the branch
+    # same value, different presentation: 2*sqrt(2+w) == sqrt(8+4*w)
     theta = RingElem(2, 1)
-    a = ExtElem(3, 2, theta, 1)
-    b = ExtElem(3, -2, theta, -1)
+    a = ExtElem(3, 2, theta)
+    b = ExtElem(3, 1, 4 * theta)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != ExtElem(3, 2, theta, -1)
+    assert a != ExtElem(3, -2, theta) and a != ExtElem(3, -1, 4 * theta)
 
 
 def test_ext_rejects_square_radicand():
     with pytest.raises(ValueError):
-        ExtElem(0, 1, RingElem(4, 0), 1)
+        ExtElem(0, 1, RingElem(4, 0))
     with pytest.raises(ValueError):
-        ExtElem(0, 1, RingElem(3, 2), 1)  # (1+w)^2
+        ExtElem(0, 1, RingElem(3, 2))  # (1+w)^2
     # rational data live in Q(sqrt 2), where 8 and 2 are squares
     for y, theta in ((Fraction(1, 2), 8), (1, 2)):
         with pytest.raises(ValueError, match="is a square"):
             ExtElem(0, y, theta)
 
 
-def test_ext_rejects_zero_theta_and_bad_branch():
+def test_ext_rejects_zero_theta():
     with pytest.raises(ValueError, match="nonzero"):
         ExtElem(0, 1, 0)
-    with pytest.raises(ValueError, match="branch"):
-        ExtElem(0, 1, 3, 0)
     with pytest.raises(ValueError, match="is a square"):
         ExtElem(0, 1, 4)
 
 
 def test_ext_arithmetic_refuses_mixed_extensions():
     theta = RingElem(2, 1)
-    e = ExtElem(1, W, theta, 1)
-    for other in (ExtElem(1, W, RingElem(1, 1), 1), ExtElem(1, W, theta, -1)):
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
-            with pytest.raises(ValueError, match="different extensions"):
-                op(e, other)
+    e = ExtElem(1, W, theta)
+    other = ExtElem(1, W, RingElem(1, 1))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(ValueError, match="different extensions"):
+            op(e, other)
 
 
 def test_ext_results_carry_their_extension():
-    for theta, branch in ((RingElem(2, 1), 1), (RingElem(2, 1), -1), (RingElem(3), -1)):
-        e = ExtElem(RingElem(1, -1), RingElem(Fraction(1, 2), 3), theta, branch)
-        f = ExtElem(-3, RingElem(0, 1), theta, branch)
+    for theta, sy in ((RingElem(2, 1), 1), (RingElem(2, 1), -1), (RingElem(3), -1)):
+        e = ExtElem(RingElem(1, -1), sy * RingElem(Fraction(1, 2), 3), theta)
+        f = ExtElem(-3, sy * RingElem(0, 1), theta)
         results = (
             e + f, e - f, e * f, -e, e.inverse(), e / f, e ** 3, ext_conj(e),
             e + W, W + e, e * 3, Fraction(1, 2) * e, 1 - e, 2 / e,
         )
         for r in results:
             assert type(r) is ExtElem
-            assert (r.theta, r.branch) == (theta, branch)
+            assert r.theta == theta
             assert type(r.x) is RingElem and type(r.y) is RingElem
             # rebuilding through the checked constructor gives the same value
-            assert ExtElem(r.x, r.y, theta, branch) == r
+            assert ExtElem(r.x, r.y, theta) == r
 
 
 def test_ext_sign_under_embedding():
     theta = RingElem(2, 1)
-    alpha = ExtElem(0, 1, theta, 1)
+    alpha = ExtElem(0, 1, theta)
     assert sign_under_embedding(alpha) == 1
     assert sign_under_embedding(-alpha) == -1
     # 2 - alpha > 0 since alpha is about 1.848
     assert sign_under_embedding(2 - alpha) == 1
-    assert sign_under_embedding(ExtElem(RingElem(-2, 0), 1, theta, 1)) == -1
+    assert sign_under_embedding(ExtElem(RingElem(-2, 0), 1, theta)) == -1

@@ -137,6 +137,6 @@ def test_second_extension_scan():
 
 def test_second_extension_unit_relation():
     c2 = context_l2()
-    one_plus_v = type(c2.v)(RingElem(1), RingElem(1), c2.theta, c2.v.branch)
+    one_plus_v = type(c2.v)(RingElem(1), RingElem(1), c2.theta)
     assert c2.unit * (RingElem(1) - c2.v) == -one_plus_v
 
