@@ -7,7 +7,7 @@ systems, and verifies the 2-adic valuation identities that bound those
 families.  All arithmetic is exact; floating point never enters a decision.
 """
 
-from .continuant import INF, Mat2, cf_matrix, continuant, continuant_matrix, convergents, finite_cf_value
+from .continuant import INF, Mat2, cf_matrix, continuant, convergents, finite_cf_value
 from .converge import (
     ELLIPTIC,
     IDENTITY_MULTIPLE,
@@ -93,13 +93,8 @@ from .variety import (
     SmallTypeSolution,
     corr03_12,
     corr12_03,
-    curve12_point,
-    curve12_residual,
     curve21_quartic,
     curve21_residual,
-    curve_x3_minus_4x,
-    curve_x3_minus_x,
-    curve_x_x2_xm1,
     e_curve_residual,
     family_orbit,
     fp_conic_residual,
@@ -109,15 +104,12 @@ from .variety import (
     lift12_from_E,
     lift21,
     param03,
-    param03_sqrt2,
     pcf_of_e_point,
     plane03_residual,
     plane21_residual,
     reduce12_to_E,
     solve_small_type,
     variety_residuals,
-    verify_curve_points,
-    vnk_residuals,
 )
 
 __version__ = "0.1.0"

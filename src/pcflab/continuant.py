@@ -125,11 +125,6 @@ class Mat2:
         return p / q
 
 
-def continuant_matrix(c) -> Mat2:
-    """The elementary block ``[[c, 1], [1, 0]]``."""
-    return Mat2(c, 1, 1, 0)
-
-
 def _prefix_entries(word: Iterable) -> Iterator[Tuple[RingElem, RingElem, RingElem, RingElem]]:
     """Entries ``(e11, e12, e21, e22)`` of the matrix of each nonempty prefix.
 

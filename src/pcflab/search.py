@@ -7,8 +7,11 @@ residual check so that nothing leaves this module unverified.  The type
 the first by a divisor reduction, the second from the square values of a
 quartic, one rational square root per fiber.  Their box searches are
 cross-checks on the plane models of ``variety``, each plane point lifted to
-a full point.  Expected results live as text fixtures under ``tables/`` and
-``reproduce_table`` diffs a fresh enumeration against them.
+a full point.  The ``(1,2)`` table over ``Z[sqrt 2]`` is also checked
+against the symmetries of ``variety``: its points form full orbits, and the
+correspondence carries them to the ``(0,3)`` table and back.  Expected
+results live as text fixtures under ``tables/`` and ``reproduce_table``
+diffs a fresh enumeration against them.
 """
 
 from __future__ import annotations
@@ -38,9 +41,12 @@ from .ring import (
     unit_power,
 )
 from .variety import (
+    corr03_12,
+    corr12_03,
     curve21_quartic,
     curve21_residual,
     e_curve_residual,
+    family_orbit,
     is_member,
     lift03,
     lift21,
@@ -141,14 +147,13 @@ def _norm_one_cut(b: RingElem, norm_b: int) -> bool:
     return norm_b == 1 and int((b * b + 1).norm()) % 8 == 4
 
 
-def solve_e_curve(pi, kmax: int = KMAX, use_filters: bool = True) -> List[Tuple[RingElem, RingElem]]:
+def solve_e_curve(pi, kmax: int = KMAX) -> List[Tuple[RingElem, RingElem]]:
     """All points (a, b) with (a^2 b + 1) b = pi found under the divisor bound.
 
     ``pi`` must be 2 (plain-integer case) or 2 + sqrt(2).  Candidates for b
     come from the divisor enumeration; each surviving candidate is finished
     by exact division and a ring square root.  Over Z[sqrt 2] a congruence
-    filter cuts the norm-one candidates whose b^2 + 1 has norm 4 mod 8; it
-    is optional so its soundness can be cross-checked.
+    filter cuts the norm-one candidates whose b^2 + 1 has norm 4 mod 8.
     """
     pi = RingElem._wrap(pi)
     if pi == RingElem(2):
@@ -162,7 +167,7 @@ def solve_e_curve(pi, kmax: int = KMAX, use_filters: bool = True) -> List[Tuple[
         raise ValueError(f"no divisor theory wired for target {pi}")
     pts = {}
     for b, tag in cands:
-        if use_filters and pi == WU and _norm_one_cut(b, tag):
+        if pi == WU and _norm_one_cut(b, tag):
             continue
         q = (pi - b) / (b * b)
         if not q.is_integral():
@@ -338,6 +343,8 @@ def _pipeline_z22_03():
     ]
     notes = [
         f"unit scan bound {KMAX}; completeness for the scanned range only",
+        "x^2 + 1 = 2 y^4 has only |x| = 1, 239 by Ljunggren's theorem (1942; Steiner-Tzanakis 1991),"
+        f" an external input that the scan to |y| <= {LJUNGGREN_BOUND} does not prove",
     ]
     return found, checks, notes
 
@@ -437,14 +444,34 @@ def _pipeline_z_12():
     return found, checks, []
 
 
+def _five_full_orbits(pts: Iterable[tuple]) -> bool:
+    """Whether the points with a != 0 are exactly five full ``family_orbit`` orbits."""
+    rest = {p for p in pts if p[0]}
+    orbits = {frozenset(family_orbit(*p)) for p in rest}
+    return len(orbits) == 5 and set().union(*orbits) == rest
+
+
+def _correspondence_agrees(pts03: Iterable[tuple], pts12: Iterable[tuple]) -> bool:
+    """Whether ``corr03_12`` maps the (0,3) points onto the eight norm-2 curve
+    points with a != 0, and ``corr12_03`` maps those eight back onto them."""
+    pts03 = set(pts03)
+    norm2 = {p for p in pts12 if p[0] and p[1].norm() == 2}
+    forward = {corr03_12(*z) for z in pts03}
+    back = {z for p in norm2 for z in corr12_03(*p)}
+    return len(norm2) == 8 and forward == norm2 and back == pts03
+
+
 def _pipeline_z22_12():
     found = solve_e_curve(WU, KMAX)
     norm_neg1 = [p for p in found if int(p[1].norm()) == -1]
     checks = [
         ("contains the extraneous point with vanishing first coordinate",
          (RingElem(0), WU) in found),
-        ("point count is 1 mod 4", len(found) % 4 == 1),
+        ("the twenty points with nonzero first coordinate are five full sign-and-twist orbits",
+         _five_full_orbits(found)),
         ("eight points carry a norm -1 second coordinate", len(norm_neg1) == 8),
+        ("the correspondence maps the sixteen z22_03 points onto the eight norm 2 points and back",
+         _correspondence_agrees(load_table(TableName.Z22_03), found)),
     ]
     notes = [f"divisor bound {KMAX}; completeness for the scanned range only"]
     return found, checks, notes

@@ -5,17 +5,18 @@ the affine family of PCFs whose fixed-point quadratic is proportional to it.
 This module provides the membership residuals for that family, the projection
 onto the Pell-type conic, closed-form solutions for the short types, a
 rational parametrization for type ``(0, 3)``, the plane and curve models used
-by the longer-type searches, the correspondences that move points between the
-``(0, 3)`` and ``(1, 2)`` pictures, and residual checks for points on the
-cubic curves that show up along the way.
+by the longer-type searches, the sign-and-twisted-conjugate orbit of the
+``(1, 2)`` curve points over ``2 + sqrt(2)``, and the correspondence that moves
+points between the ``(0, 3)`` and ``(1, 2)`` pictures.  The ``z22_12`` table
+checks both symmetries on its points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .continuant import INF, cf_matrix
+from .continuant import INF
 from .pcf import Pcf, QuadPoly, e_matrix
 from .ring import W, WU, ExtElem, RingElem, conjugate, format_coords, sqrt_in_ring
 
@@ -44,16 +45,6 @@ def variety_residuals(T: QuadPoly, P: Pcf) -> Tuple[RingElem, RingElem, RingElem
 
 def is_member(T: QuadPoly, P: Pcf) -> bool:
     return not any(variety_residuals(T, P))
-
-
-def vnk_residuals(P: Pcf) -> Tuple[RingElem, RingElem, RingElem]:
-    """Defects for the divergence locus shared by every target.
-
-    The locus is where the period matrix alone is a multiple of the
-    identity, so the prefix coordinates never enter.
-    """
-    M = cf_matrix(P.per)
-    return (M.e12, M.e21, M.e22 - M.e11)
 
 
 def fp_project(T: QuadPoly, P: Pcf) -> Tuple[RingElem, RingElem]:
@@ -175,15 +166,6 @@ def param03(T: QuadPoly, R, S, t) -> Tuple[RingElem, RingElem, RingElem]:
     return (a1, a2, a3)
 
 
-def param03_sqrt2(t) -> Tuple[RingElem, RingElem, RingElem]:
-    """Specialization with roots ``+-sqrt(2)``, labeled so that ``t = 1, 2``
-    give ``+-(3, -1, 2)`` and ``t = 0, INF`` give ``+-(1, 1, 0)``."""
-    T = QuadPoly(1, 0, -2)
-    if t is INF:
-        return param03(T, 2, -2, INF)
-    return param03(T, 2, -2, RingElem._wrap(t) - 1)
-
-
 def plane03_residual(T: QuadPoly, x2, x3) -> RingElem:
     """Defect of the plane model the two trailing coordinates must satisfy.
 
@@ -267,25 +249,6 @@ def lift21(T: QuadPoly, y1, y2) -> RingElem:
 # ---------------------------------------------------------------------------
 
 
-def curve12_residual(T: QuadPoly, y1, x1) -> RingElem:
-    """Defect of the relation cutting out the interesting ``(1,2)`` component:
-    ``(A y1^2 + B y1 + C) x1 + 2 A y1 + B = 0``."""
-    y1 = RingElem._wrap(y1)
-    return T(y1) * RingElem._wrap(x1) + T.slope(y1)
-
-
-def curve12_point(T: QuadPoly, y1) -> Tuple[RingElem, RingElem, RingElem]:
-    """Full coordinate triple ``(y1, x1, x2)`` over a first coordinate ``y1``."""
-    y1 = RingElem._wrap(y1)
-    g = T(y1)
-    h = T.slope(y1)
-    if not g:
-        raise ZeroDivisionError("y1 is a root of the target quadratic")
-    if not T.A:
-        raise ValueError("leading coefficient must be nonzero")
-    return (y1, -h / g, h / T.A)
-
-
 def reduce12_to_E(y1, x1) -> Tuple[RingElem, RingElem]:
     """Halved coordinates ``(a, b) = (x1 / 2, 2 y1 / x1)``.
 
@@ -323,29 +286,27 @@ def pcf_of_e_point(a, b) -> Pcf:
     return Pcf((a * b,), (2 * a, 2 * a * b))
 
 
-def _twist_unit(pi: RingElem) -> RingElem:
-    tw = W - 1
-    if conjugate(pi) / pi != tw * tw:
-        raise AssertionError("conjugation twist self-check failed")
-    return tw
+# conjugation sends 2 + w to (w - 1)^2 (2 + w); these two units rescale the
+# conjugate of a curve point back onto the curve
+_TWIST_A = W - 1
+_TWIST_B = RingElem(3, 2)  # (w - 1)^-2
 
 
-def family_orbit(y1, x1) -> Tuple[Tuple[RingElem, RingElem], ...]:
-    """Sign and twisted-conjugate orbit of a nonzero solution over Z[sqrt(2)].
+def family_orbit(a, b) -> Tuple[Tuple[RingElem, RingElem], ...]:
+    """Sign and twisted-conjugate orbit of a point of ``(a^2 b + 1) b = 2 + w``.
 
-    The orbit is ``{+-(y1, x1), +-((w-1)^-1 conj(y1), (w-1) conj(x1))}`` and
-    always has four distinct members.
+    The orbit is ``{(+-a, b), (+-(w-1) conj(a), (3+2w) conj(b))}``; it has
+    four distinct members on the curve for every point with ``a != 0``.
     """
-    y1 = RingElem._wrap(y1)
-    x1 = RingElem._wrap(x1)
-    if not y1 and not x1:
-        raise ValueError("the zero point has no orbit")
-    tw = _twist_unit(WU)
-    y2 = conjugate(y1) / tw
-    x2 = conjugate(x1) * tw
-    orbit = ((y1, x1), (-y1, -x1), (y2, x2), (-y2, -x2))
-    if len(set(orbit)) != 4:
-        raise AssertionError("orbit members are not distinct")
+    a = RingElem._wrap(a)
+    b = RingElem._wrap(b)
+    if not a or e_curve_residual(WU, a, b):
+        raise ValueError(f"{format_coords((a, b))} is not a curve point with a != 0")
+    a2 = _TWIST_A * conjugate(a)
+    b2 = _TWIST_B * conjugate(b)
+    orbit = ((a, b), (-a, b), (a2, b2), (-a2, b2))
+    if len(set(orbit)) != 4 or any(e_curve_residual(WU, *p) for p in orbit[1:]):
+        raise AssertionError("orbit self-check failed")
     return orbit
 
 
@@ -396,97 +357,3 @@ def corr12_03(a, b) -> Tuple[Tuple[RingElem, RingElem, RingElem], ...]:
         if not is_member(T, Pcf((), pt)):
             raise AssertionError("correspondence preimage missed the family")
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# cubic-curve membership checks
-# ---------------------------------------------------------------------------
-
-
-def curve_x3_minus_x(x, y) -> RingElem:
-    """Residual of ``y^2 = x^3 - x``."""
-    x = RingElem._wrap(x)
-    y = RingElem._wrap(y)
-    return y * y - (x * x * x - x)
-
-
-def curve_x_x2_xm1(x, y) -> RingElem:
-    """Residual of ``y^2 = x (x + 2) (x - 1)``."""
-    x = RingElem._wrap(x)
-    y = RingElem._wrap(y)
-    return y * y - x * (x + 2) * (x - 1)
-
-
-def curve_x3_minus_4x(x, y) -> RingElem:
-    """Residual of ``y^2 = x^3 - 4x``."""
-    x = RingElem._wrap(x)
-    y = RingElem._wrap(y)
-    return y * y - (x * x * x - 4 * x)
-
-
-def verify_curve_points(curve: Callable, pts: Sequence) -> List[RingElem]:
-    """Residual of each ``(x, y)`` pair under ``curve``; all zero on good lists."""
-    return [curve(x, y) for (x, y) in pts]
-
-
-def _zw_points(pairs):
-    out = []
-    for (xa, xb), (ya, yb) in pairs:
-        out.append((xa + xb * W, ya + yb * W))
-    return tuple(out)
-
-
-# the seven finite points with coordinates in Z[sqrt(2)] on y^2 = x^3 - x
-POINTS_X3_MINUS_X = _zw_points(
-    [
-        ((0, 0), (0, 0)),
-        ((1, 0), (0, 0)),
-        ((-1, 0), (0, 0)),
-        ((1, -1), (2, -1)),
-        ((1, -1), (-2, 1)),
-        ((1, 1), (2, 1)),
-        ((1, 1), (-2, -1)),
-    ]
-)
-
-# twenty-three points with coordinates in Z[sqrt(2)] on y^2 = x(x+2)(x-1)
-POINTS_X_X2_XM1 = _zw_points(
-    [
-        ((0, 0), (0, 0)),
-        ((-2, 0), (0, 0)),
-        ((1, 0), (0, 0)),
-        ((-1, 0), (0, 1)),
-        ((-1, 0), (0, -1)),
-        ((2, 0), (0, 2)),
-        ((2, 0), (0, -2)),
-        ((4, 0), (0, 6)),
-        ((4, 0), (0, -6)),
-        ((0, 1), (0, 1)),
-        ((0, 1), (0, -1)),
-        ((0, -1), (0, 1)),
-        ((0, -1), (0, -1)),
-        ((4, -3), (-12, 9)),
-        ((4, -3), (12, -9)),
-        ((4, 3), (12, 9)),
-        ((4, 3), (-12, -9)),
-        ((24, 17), (168, 119)),
-        ((24, 17), (-168, -119)),
-        ((24, -17), (-168, 119)),
-        ((24, -17), (168, -119)),
-        ((25, 0), (0, 90)),
-        ((25, 0), (0, -90)),
-    ]
-)
-
-# seven points with coordinates in Z[sqrt(2)] on y^2 = x^3 - 4x
-POINTS_X3_MINUS_4X = _zw_points(
-    [
-        ((0, 0), (0, 0)),
-        ((2, 0), (0, 0)),
-        ((-2, 0), (0, 0)),
-        ((2, -2), (-4, 4)),
-        ((2, -2), (4, -4)),
-        ((2, 2), (4, 4)),
-        ((2, 2), (-4, -4)),
-    ]
-)

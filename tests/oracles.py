@@ -7,10 +7,10 @@ the final comparison step.
 
 from fractions import Fraction
 
-from pcflab.continuant import INF, Mat2, continuant_matrix, finite_cf_value
+from pcflab.continuant import INF, Mat2, finite_cf_value
 from pcflab.converge import classify_mobius
 from pcflab.intervals import Interval, elem_interval
-from pcflab.ring import sign_under_embedding
+from pcflab.ring import W, WU, conjugate, sign_under_embedding
 
 
 def random_det_pm1_matrix(rng, steps=6):
@@ -91,7 +91,7 @@ def cf_matrix_by_blocks(word) -> Mat2:
     """The matrix of a word as the full product of its ``[[c, 1], [1, 0]]`` blocks."""
     out = Mat2.identity()
     for c in word:
-        out = out * continuant_matrix(c)
+        out = out * Mat2(c, 1, 1, 0)
     return out
 
 
@@ -114,6 +114,34 @@ def _expanding_fixed_point(E: Mat2, points):
         if sign_under_embedding(m1) > 0:
             return z, lam, m1
     return None
+
+
+# -- the (1,2) orbit on the un-halved coordinates ------------------------------
+#
+# The reference route for pcflab.variety.family_orbit: the orbit of the point
+# (y1, x1) = (a b, 2 a) of y1^2 x1 + 2 y1 = (2 + w) x1, with the twist divided
+# through in field arithmetic.  Carry a curve point over with lift12_from_E
+# and each member back with reduce12_to_E.
+
+
+def _twist_unit(pi):
+    tw = W - 1
+    if conjugate(pi) / pi != tw * tw:
+        raise AssertionError("conjugation twist self-check failed")
+    return tw
+
+
+def family_orbit_y1_x1(y1, x1):
+    """The orbit ``{+-(y1, x1), +-((w-1)^-1 conj(y1), (w-1) conj(x1))}`` of a nonzero point."""
+    if not y1 and not x1:
+        raise ValueError("the zero point has no orbit")
+    tw = _twist_unit(WU)
+    y2 = conjugate(y1) / tw
+    x2 = conjugate(x1) * tw
+    orbit = ((y1, x1), (-y1, -x1), (y2, x2), (-y2, -x2))
+    if len(set(orbit)) != 4:
+        raise AssertionError("orbit members are not distinct")
+    return orbit
 
 
 def truncation_value(P, periods: int):

@@ -26,12 +26,6 @@ from pcflab.skolem import (
     rst,
 )
 from pcflab.variety import (
-    POINTS_X3_MINUS_4X,
-    POINTS_X3_MINUS_X,
-    POINTS_X_X2_XM1,
-    curve_x3_minus_4x,
-    curve_x3_minus_x,
-    curve_x_x2_xm1,
     fp_conic_residual,
     fp_project,
     is_member,
@@ -39,7 +33,6 @@ from pcflab.variety import (
     param03,
     reduce12_to_E,
     solve_small_type,
-    verify_curve_points,
 )
 
 T2 = QuadPoly(1, 0, -2)
@@ -271,11 +264,10 @@ def test_criterion_11_classification_vs_orbit():
             check_classification_agreement(A, z, steps=100, tol=Fraction(1, 10 ** 20))
 
 
-def test_criterion_12_elliptic_membership():
+def test_criterion_12_tables_are_one_answer():
     with criterion(12):
-        assert len(POINTS_X3_MINUS_X) == 7
-        assert not any(verify_curve_points(curve_x3_minus_x, POINTS_X3_MINUS_X))
-        assert len(POINTS_X_X2_XM1) == 23
-        assert not any(verify_curve_points(curve_x_x2_xm1, POINTS_X_X2_XM1))
-        assert len(POINTS_X3_MINUS_4X) == 7
-        assert not any(verify_curve_points(curve_x3_minus_4x, POINTS_X3_MINUS_4X))
+        rep = reproduce_table(TableName.Z22_12)
+        assert rep.match
+        checks = dict(rep.checks)
+        assert checks["the twenty points with nonzero first coordinate are five full sign-and-twist orbits"]
+        assert checks["the correspondence maps the sixteen z22_03 points onto the eight norm 2 points and back"]

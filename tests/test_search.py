@@ -21,7 +21,7 @@ from pcflab.search import (
     unit_divisor_enum,
     zw_box,
 )
-from pcflab.variety import curve21_quartic
+from pcflab.variety import corr03_12, corr12_03, curve21_quartic
 
 PI_SPLIT = RingElem(2, 1)
 
@@ -82,9 +82,10 @@ def test_e_curve_split_prime():
     }
 
 
-def test_e_curve_filters_are_sound():
-    lazy = solve_e_curve(PI_SPLIT, kmax=12, use_filters=False)
-    assert lazy == solve_e_curve(PI_SPLIT, kmax=12, use_filters=True)
+def test_e_curve_filters_are_sound(monkeypatch):
+    filtered = solve_e_curve(PI_SPLIT, kmax=12)
+    monkeypatch.setattr(search, "_norm_one_cut", lambda b, norm_b: False)
+    assert solve_e_curve(PI_SPLIT, kmax=12) == filtered
 
 
 def test_norm_one_cut_covers_every_norm_of_pi_minus_b_3_mod_4():
@@ -236,3 +237,32 @@ def test_plain_integer_quartic_scan_keeps_rational_roots():
     T = QuadPoly(1, 0, -6)
     assert curve21_quartic(T, 2) == curve21_quartic(T, -2) == 8
     assert quartic_y1_scan(T, 5) == []
+
+
+# -- the z22_12 symmetry checks, each broken by one mutation -------------------
+
+Z22_03 = load_table(TableName.Z22_03)
+Z22_12 = load_table(TableName.Z22_12)
+
+
+def test_orbit_check_fails_without_any_one_point():
+    for p in Z22_12:
+        if p[0]:
+            assert not search._five_full_orbits([q for q in Z22_12 if q != p])
+
+
+def test_correspondence_check_fails_without_any_one_03_point():
+    # the forward image stays the eight points, so the backward direction must catch it
+    image = {corr03_12(*z) for z in Z22_03}
+    for z in Z22_03:
+        rest = [q for q in Z22_03 if q != z]
+        assert {corr03_12(*q) for q in rest} == image
+        assert not search._correspondence_agrees(rest, Z22_12)
+
+
+def test_correspondence_check_fails_on_a_wrong_sign(monkeypatch):
+    def flipped(a, b):
+        return tuple((z1, z2, -z3) for z1, z2, z3 in corr12_03(a, b))
+
+    monkeypatch.setattr(search, "corr12_03", flipped)
+    assert not search._correspondence_agrees(Z22_03, Z22_12)

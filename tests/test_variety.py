@@ -5,23 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import family_orbit_y1_x1
+
 from pcflab.continuant import INF
 from pcflab.pcf import Pcf, QuadPoly
-from pcflab.ring import RingElem, W, parse_elem
-from pcflab.search import load_table
+from pcflab.ring import WU, RingElem, parse_elem
+from pcflab.search import TableName, load_table
 from pcflab.variety import (
-    POINTS_X3_MINUS_4X,
-    POINTS_X3_MINUS_X,
-    POINTS_X_X2_XM1,
     corr03_12,
     corr12_03,
-    curve12_point,
-    curve12_residual,
     curve21_quartic,
     curve21_residual,
-    curve_x3_minus_4x,
-    curve_x3_minus_x,
-    curve_x_x2_xm1,
     e_curve_residual,
     family_orbit,
     fp_conic_residual,
@@ -31,15 +25,12 @@ from pcflab.variety import (
     lift12_from_E,
     lift21,
     param03,
-    param03_sqrt2,
     pcf_of_e_point,
     plane03_residual,
     plane21_residual,
     reduce12_to_E,
     solve_small_type,
     variety_residuals,
-    verify_curve_points,
-    vnk_residuals,
 )
 
 U = RingElem(1, 1)
@@ -127,10 +118,12 @@ def test_small_types():
 
 
 def test_param03_sqrt2_labels():
-    assert param03_sqrt2(1) == (RingElem(3), RingElem(-1), RingElem(2))
-    assert param03_sqrt2(2) == (RingElem(-3), RingElem(1), RingElem(-2))
-    assert param03_sqrt2(0) == (RingElem(1), RingElem(1), RingElem(0))
-    assert param03_sqrt2(INF) == (RingElem(-1), RingElem(-1), RingElem(0))
+    # roots +-sqrt(2) with R = 2, S = -2: t = 0, 1 give +-(3, -1, 2), t = -1, INF give +-(1, 1, 0)
+    at = lambda t: param03(T2, 2, -2, t)
+    assert at(0) == (RingElem(3), RingElem(-1), RingElem(2))
+    assert at(1) == (RingElem(-3), RingElem(1), RingElem(-2))
+    assert at(-1) == (RingElem(1), RingElem(1), RingElem(0))
+    assert at(INF) == (RingElem(-1), RingElem(-1), RingElem(0))
 
 
 def test_param03_members():
@@ -156,36 +149,36 @@ def test_z21_quartic_model():
 
 
 def test_curve12_and_e_reduction():
-    p = curve12_point(TSW, U)
-    assert p == (U, RingElem(-2), RingElem(2, 2))
-    assert not curve12_residual(TSW, p[0], p[1])
-    ab = reduce12_to_E(p[0], p[1])
-    assert ab == (RingElem(-1), -U)
-    assert lift12_from_E(*ab) == (U, RingElem(-2))
-    assert not e_curve_residual(RingElem(2, 1), *ab)
+    ab = (RingElem(-1), -U)
+    assert not e_curve_residual(WU, *ab)
+    y1, x1 = lift12_from_E(*ab)
+    assert (y1, x1) == (U, RingElem(-2))
+    assert y1 * y1 * x1 + 2 * y1 == WU * x1
+    assert reduce12_to_E(y1, x1) == ab
     P = pcf_of_e_point(*ab)
     assert P.type_nk == (1, 2)
     assert P.pre == (ab[0] * ab[1],)
 
 
 def test_family_orbit():
-    orb = family_orbit(U, RingElem(-2, 0))
+    orb = family_orbit(-1, -U)
     assert len(set(orb)) == 4
-    for y, x in orb:
-        assert not curve12_residual(TSW, y, x)
-    assert (RingElem(-1, 0), RingElem(2, -2)) in orb
+    assert not any(e_curve_residual(WU, a, b) for a, b in orb)
+    assert set(orb) == {(RingElem(-1), -U), (RingElem(1), -U),
+                        (RingElem(1, -1), U), (RingElem(-1, 1), U)}
+    with pytest.raises(ValueError):
+        family_orbit(0, WU)
+    with pytest.raises(ValueError):
+        family_orbit(1, 1)
 
 
 def test_orbit_transport_to_e_curve():
-    rng = random.Random(62)
-    pts = [(RingElem(-1), -U), (RingElem(1), -U)]
+    # the orbit on the halved coordinates equals the (y1, x1) orbit carried over
+    pts = [p for p in load_table(TableName.Z22_12) if p[0]]
+    assert len(pts) == 20
     for a, b in pts:
-        y, x = lift12_from_E(a, b)
-        for yy, xx in family_orbit(y, x):
-            if not xx:
-                continue
-            aa, bb = reduce12_to_E(yy, xx)
-            assert not e_curve_residual(RingElem(2, 1), aa, bb)
+        via = {reduce12_to_E(*q) for q in family_orbit_y1_x1(*lift12_from_E(a, b))}
+        assert set(family_orbit(a, b)) == via
 
 
 def test_correspondence_round_trip():
@@ -206,21 +199,6 @@ def test_correspondence_all_table_points():
         assert p in back
         for t in back:
             assert is_member(TSW, Pcf((), t))
-
-
-def test_elliptic_curve_point_lists():
-    assert len(POINTS_X3_MINUS_X) == 7
-    assert len(POINTS_X_X2_XM1) == 23
-    assert len(POINTS_X3_MINUS_4X) == 7
-    assert not any(verify_curve_points(curve_x3_minus_x, POINTS_X3_MINUS_X))
-    assert not any(verify_curve_points(curve_x_x2_xm1, POINTS_X_X2_XM1))
-    assert not any(verify_curve_points(curve_x3_minus_4x, POINTS_X3_MINUS_4X))
-    x, y = POINTS_X_X2_XM1[-1]
-    assert any(verify_curve_points(curve_x_x2_xm1, [(x, y + 1)]))
-
-
-def test_vnk_residuals_detect_honest_period():
-    assert any(vnk_residuals(Pcf((), (1, 1, 0))))
 
 
 def test_pcf_round_trip_through_tables():
