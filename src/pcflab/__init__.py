@@ -27,6 +27,7 @@ from .intervals import (
     decimal_str,
     elem_interval,
     interval_decimal_str,
+    interval_g6_str,
     log10_interval,
     sqrt_interval,
     value_interval,
@@ -48,6 +49,7 @@ from .pcf import (
 from .ring import (
     ExtElem,
     RingElem,
+    SelfCheckError,
     W,
     conjugate,
     ext_conj,

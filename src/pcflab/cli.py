@@ -4,7 +4,8 @@ Exposes evaluation and duality of periodic continued fractions, variety
 membership and conic projection, the table searches, and the 2-adic reports.
 Everything is computed exactly; decimals are display-only and every printed
 digit is certified.  Exit codes: 0 for a positive outcome (converges, member,
-match), 1 for a mathematical negative, 2 for unusable input.
+match), 1 for a mathematical negative, 2 for unusable input, 3 when an
+internal self-check fails (a bug, never an answer).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import List, Optional, Tuple
 
 from .continuant import INF
 from .converge import PARABOLIC, rate, verdict
-from .intervals import decimal_str
+from .intervals import decimal_str, interval_g6_str, refine
 from .pcf import Pcf, QuadPoly, dual
-from .ring import RingElem, format_coords, format_elem, parse_elem
+from .ring import RingElem, SelfCheckError, format_coords, format_elem, parse_elem
 from .search import (
     KMAX,
     LJUNGGREN_BOUND,
@@ -34,6 +35,7 @@ from .variety import e_curve_residual, fp_conic_residual, fp_project, variety_re
 
 MATH_NEGATIVE = 1
 USAGE_ERROR = 2
+SELF_CHECK_FAILED = 3
 
 
 def _print_json(record: dict):
@@ -69,6 +71,18 @@ def _verdict_label(v) -> str:
     return "Converges" if v.converges else f"Diverges({v.reason})"
 
 
+def _rate_text(P: Pcf, v) -> str:
+    """The rate line: both enclosures refined until their six digits are certified."""
+
+    def attempt(digits):
+        r = rate(P, digits, v=v)
+        shown = (interval_g6_str(r.convergents_per_digit), interval_g6_str(r.eigen_abs))
+        return None if None in shown else shown
+
+    per_digit, eigen = refine(attempt, 12)
+    return f"rate: ~{per_digit} convergents per digit (|eigenvalue| ~ {eigen})"
+
+
 def _emit_pcf_result(P: Pcf, args, heading: str) -> int:
     v = verdict(P)
     dec = _decimal_or_none(v.value, args.precision) if v.converges else None
@@ -86,11 +100,7 @@ def _emit_pcf_result(P: Pcf, args, heading: str) -> int:
         if v.reason == PARABOLIC:
             print("rate: sub-exponential (tangent case)")
         else:
-            r = rate(P, v=v)
-            print(
-                f"rate: ~{float(r.convergents_per_digit.mid):.6g} convergents per digit"
-                f" (|eigenvalue| ~ {float(r.eigen_abs.mid):.6g})"
-            )
+            print(_rate_text(P, v))
         return 0
     if v.pariah_index is not None:
         print(f"pariah index: {v.pariah_index}")
@@ -351,9 +361,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ZeroDivisionError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return MATH_NEGATIVE
+    except SelfCheckError as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return SELF_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 from .continuant import INF, Mat2, Value, cf_matrix, finite_cf_value
 from .intervals import Interval, log10_interval, refine, value_interval
 from .pcf import Pcf, e_matrix, quad_poly_of_matrix, quad_roots
-from .ring import ExtElem, RingElem, sign_under_embedding
+from .ring import ExtElem, RingElem, SelfCheckError, sign_under_embedding
 
 # divergence reasons
 IDENTITY_MULTIPLE = "IdentityMultiple"
@@ -130,7 +130,7 @@ def verdict(P: Pcf) -> Verdict:
         if hit is not None:
             lam, m1 = hit
             return Verdict(True, LOXODROMIC, value=z, eigenvalue=lam, eigen_modulus_sq_minus_1=m1)
-    raise AssertionError(f"no expanding fixed point found for {P}")
+    raise SelfCheckError(f"no expanding fixed point found for {P}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def classify_mobius(A: Mat2, z: Value) -> MobiusClassification:
     for r in quad_roots(poly):
         if _expanding_eigenvalue(A, r) is not None:
             return MobiusClassification(6, "converges", r)
-    raise AssertionError("no attracting fixed point in the generic case")
+    raise SelfCheckError("no attracting fixed point in the generic case")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
+from typing import Optional
 
 from .ring import ExtElem, RingElem, exact_fraction
 
@@ -343,6 +344,39 @@ def decimal_str(x: Number, digits: int) -> str:
     # a rational value encloses as a point, so both ends round alike at once;
     # an irrational value never sits on a rounding boundary, so it settles
     return format_scaled(refine(attempt, 32 + 4 * digits), digits)
+
+
+def _g6_str(q: Fraction) -> str:
+    """``format(q, ".6g")`` of an exact rational, rounding half to even."""
+    if not q:
+        return "0"
+    n, d = abs(q.numerator), q.denominator
+    # e estimates floor(log10 |q|) from the bit lengths; the loops fix it so
+    # that num/den = |q| * 10^(5-e) lies in [10^5, 10^6)
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    num, den = (n * 10 ** (5 - e), d) if e <= 5 else (n, d * 10 ** (e - 5))
+    while num < 10 ** 5 * den:
+        num, e = num * 10, e - 1
+    while num >= 10 ** 6 * den:
+        den, e = den * 10, e + 1
+    # six significant digits, rounded half to even
+    m, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and m % 2):
+        m += 1
+    if m == 10 ** 6:
+        m, e = 10 ** 5, e + 1
+    fixed = -4 <= e < 6
+    text = format_scaled(m, 5 - e if fixed else 5)
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return ("-" if q < 0 else "") + text + ("" if fixed else f"e{e:+03d}")
+
+
+def interval_g6_str(iv: Interval) -> Optional[str]:
+    """``%.6g`` text of the value enclosed by ``iv``, or None when the two
+    ends print differently; rounding is monotone, so every digit is certified."""
+    lo = _g6_str(iv.lo)
+    return lo if lo == _g6_str(iv.hi) else None
 
 
 def interval_decimal_str(iv: Interval, digits: int) -> str:

@@ -11,7 +11,8 @@ Two element types:
   ``theta`` from Q(sqrt 2), where ``v`` is the positive real root: the two
   conjugates ``x +- y*v`` differ only in the sign of ``y``.
 
-:func:`format_elem` prints both element types.
+:func:`format_elem` prints both element types.  Every internal self-check
+of the package fails with :class:`SelfCheckError`.
 
 All comparisons reduce to rational sign tests; no floating point is used in
 any decision, and no element converts to a float.
@@ -25,6 +26,12 @@ from fractions import Fraction
 from typing import Optional
 
 Rat = int | Fraction
+
+
+class SelfCheckError(AssertionError):
+    """An exact self-check inside the package failed: a derived value missed
+    the residual or membership test that certifies it.  Raised explicitly,
+    never by ``assert``, so ``python -O`` cannot remove it."""
 
 
 def _rat_sqrt(q: Rat) -> Optional[Rat]:

@@ -32,6 +32,7 @@ from .ring import (
     WU,
     ExtElem,
     RingElem,
+    SelfCheckError,
     format_coords,
     format_elem,
     parse_elem,
@@ -177,7 +178,8 @@ def solve_e_curve(pi, kmax: int = KMAX) -> List[Tuple[RingElem, RingElem]]:
             continue
         for a in (s, -s):
             pt = (a, b)
-            assert not e_curve_residual(pi, a, b)
+            if e_curve_residual(pi, a, b):
+                raise SelfCheckError(f"e-curve residual of {format_coords(pt)} is not zero")
             pts[pt] = None
     return sorted(pts, key=_canon_key)
 
@@ -281,7 +283,8 @@ def _solve_z_03() -> List[tuple]:
         for x3 in (0, -2 * eps):
             x1 = eps + 2 * x3
             pt = (RingElem(x1), RingElem(eps), RingElem(x3))
-            assert is_member(TARGET_SQRT2, Pcf((), pt))
+            if not is_member(TARGET_SQRT2, Pcf((), pt)):
+                raise SelfCheckError(f"z_03 point {format_coords(pt)} missed the (0,3) family")
             pts.append(pt)
     return sorted(pts, key=_canon_key)
 
@@ -327,7 +330,8 @@ def _solve_z22_03(kmax: int) -> List[tuple]:
             if not x1.is_integral():
                 continue
             pt = (x1, b, x3)
-            assert is_member(TARGET_ALPHA2, Pcf((), pt))
+            if not is_member(TARGET_ALPHA2, Pcf((), pt)):
+                raise SelfCheckError(f"z22_03 point {format_coords(pt)} missed the (0,3) family")
             pts[pt] = None
     return sorted(pts, key=_canon_key)
 
@@ -365,7 +369,8 @@ def _solve_z_21(hits: Iterable[RingElem]) -> List[tuple]:
             if not x1.is_integral():
                 continue
             pt = (y1, y2, x1)
-            assert not any(curve21_residual(T, pt))
+            if any(curve21_residual(T, pt)):
+                raise SelfCheckError(f"z_21 point {format_coords(pt)} missed the (2,1) family")
             pts[pt] = None
     return sorted(pts, key=_canon_key)
 

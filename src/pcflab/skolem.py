@@ -4,8 +4,10 @@ Whether a unit multiple of a fixed element can have a prescribed coordinate
 norm comes down to valuations of integer sequences.  This module builds the
 two relevant extensions (adjoining a square root of the fundamental unit,
 and of sqrt(2) itself), expands powers exactly, and verifies the valuation
-identities on finite integer ranges.  Constants are re-derived and checked
-at construction time so a transcription slip cannot survive import.
+identities on finite integer ranges.  Each extension's constants are
+re-derived and checked on its first use (the context is then cached with
+``lru_cache``), so a transcription slip fails the first computation that
+needs it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from .ring import U, W, WU, ExtElem, RingElem, format_elem, val2, val2_int
+from .ring import U, W, WU, ExtElem, RingElem, SelfCheckError, format_elem, val2, val2_int
 
 
 @dataclass(frozen=True)
@@ -30,10 +32,6 @@ class SkolemContext:
     alpha: ExtElem
 
 
-def _fail(tag: str, what: str):
-    raise AssertionError(f"context {tag}: {what}")
-
-
 @lru_cache(maxsize=None)
 def context_l1() -> SkolemContext:
     """Extension by a square root of the fundamental unit, with self-checks."""
@@ -42,19 +40,19 @@ def context_l1() -> SkolemContext:
     u1 = ExtElem(-U, W, theta)
     alpha1 = ExtElem(U, 1, theta)
     if u1.ext_norm() != 1:
-        _fail("L1", "distinguished unit has wrong relative norm")
+        raise SelfCheckError("context L1: distinguished unit has wrong relative norm")
     if alpha1.ext_norm() != WU:
-        _fail("L1", "base point has wrong relative norm")
+        raise SelfCheckError("context L1: base point has wrong relative norm")
     if U - v != -(alpha1 * u1):
-        _fail("L1", "conjugate base point is not -alpha*unit")
+        raise SelfCheckError("context L1: conjugate base point is not -alpha*unit")
     if (1 - u1).ext_norm() != RingElem(4, 2):
-        _fail("L1", "1 - unit has wrong relative norm")
+        raise SelfCheckError("context L1: 1 - unit has wrong relative norm")
     if (1 - u1).ext_norm().norm() != 8:
-        _fail("L1", "1 - unit has wrong rational norm")
+        raise SelfCheckError("context L1: 1 - unit has wrong rational norm")
     if val2(1 + v) != Fraction(1, 4):
-        _fail("L1", "valuation of 1 + v is off")
+        raise SelfCheckError("context L1: valuation of 1 + v is off")
     if val2(1 - u1 * u1) != Fraction(3, 2):
-        _fail("L1", "valuation of 1 - unit^2 is off")
+        raise SelfCheckError("context L1: valuation of 1 - unit^2 is off")
     return SkolemContext("L1", theta, v, u1, alpha1)
 
 
@@ -66,13 +64,13 @@ def context_l2() -> SkolemContext:
     u2 = ExtElem(RingElem(3, 2), RingElem(2, 2), theta)
     alpha2p = ExtElem(WU, -U, theta)  # u * (w - v)
     if u2.ext_norm() != 1:
-        _fail("L2", "distinguished unit has wrong relative norm")
+        raise SelfCheckError("context L2: distinguished unit has wrong relative norm")
     if u2 * (1 - v) != -(1 + v):
-        _fail("L2", "unit does not swap 1 - v and -(1 + v)")
+        raise SelfCheckError("context L2: unit does not swap 1 - v and -(1 + v)")
     if (1 + v).ext_norm() != RingElem(1, -1):
-        _fail("L2", "1 + v has wrong relative norm")
+        raise SelfCheckError("context L2: 1 + v has wrong relative norm")
     if (1 + v).ext_norm().norm() != -1:
-        _fail("L2", "1 + v is not a unit")
+        raise SelfCheckError("context L2: 1 + v is not a unit")
     return SkolemContext("L2", theta, v, u2, alpha2p)
 
 
@@ -109,7 +107,7 @@ def nz(j: int) -> int:
     """Rational norm of ``z_of_j(j)``; always an integer."""
     n = z_of_j(j).norm()
     if n.denominator != 1:
-        raise AssertionError(f"norm of z({j}) is not an integer")
+        raise SelfCheckError(f"norm of z({j}) is not an integer")
     return int(n)
 
 

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 from .continuant import INF
 from .pcf import Pcf, QuadPoly, e_matrix
-from .ring import W, WU, ExtElem, RingElem, conjugate, format_coords, sqrt_in_ring
+from .ring import W, WU, ExtElem, RingElem, SelfCheckError, conjugate, format_coords, sqrt_in_ring
 
 Coord = RingElem | ExtElem
 
@@ -306,7 +306,7 @@ def family_orbit(a, b) -> Tuple[Tuple[RingElem, RingElem], ...]:
     b2 = _TWIST_B * conjugate(b)
     orbit = ((a, b), (-a, b), (a2, b2), (-a2, b2))
     if len(set(orbit)) != 4 or any(e_curve_residual(WU, *p) for p in orbit[1:]):
-        raise AssertionError("orbit self-check failed")
+        raise SelfCheckError(f"orbit of {format_coords((a, b))} left the curve or repeated a point")
     return orbit
 
 
@@ -326,17 +326,17 @@ def corr03_12(z1, z2, z3) -> Tuple[RingElem, RingElem]:
     sq = z2 * z2
     a = (z2 * z3 + 1) / sq
     b = -pi * sq
-    res = e_curve_residual(pi, a, b)
-    if res:
-        raise AssertionError("correspondence image missed the curve")
+    if e_curve_residual(pi, a, b):
+        raise SelfCheckError(f"correspondence image {format_coords((a, b))} missed the curve")
     return (a, b)
 
 
 def corr12_03(a, b) -> Tuple[Tuple[RingElem, RingElem, RingElem], ...]:
-    """All four type ``(0,3)`` points over a curve point with ``norm(b) = 2``.
+    """The fibre of :func:`corr03_12` over a curve point with ``norm(b) = 2``.
 
-    Requires ``-b/(2+w)`` to be the square of a unit; the quadruplet is
-    generated by the sign choices in ``(+-a, +-z2)``.
+    Requires ``-b/(2+w)`` to be the square ``s^2`` of a unit; the fibre is
+    the two type ``(0,3)`` points with ``z2 = +-s``.  The two over
+    ``(-a, b)`` complete a quadruplet.
     """
     pi = WU
     a = RingElem._wrap(a)
@@ -346,14 +346,12 @@ def corr12_03(a, b) -> Tuple[Tuple[RingElem, RingElem, RingElem], ...]:
     s = sqrt_in_ring(-b / pi)
     if s is None or not s.is_unit():
         raise ValueError("-b/(2+w) is not a unit square")
-    out = []
-    for aa in (a, -a):
-        for z2 in (s, -s):
-            z3 = (aa * z2 * z2 - 1) / z2
-            z1 = (pi * (z2 * z3 + 1) - 1) / z2
-            out.append((z1, z2, z3))
     T = QuadPoly(1, 0, -pi)
-    for pt in out:
+    out = []
+    for z2 in (s, -s):
+        z3 = (a * z2 * z2 - 1) / z2
+        pt = ((pi * (z2 * z3 + 1) - 1) / z2, z2, z3)
         if not is_member(T, Pcf((), pt)):
-            raise AssertionError("correspondence preimage missed the family")
+            raise SelfCheckError(f"correspondence preimage {format_coords(pt)} missed the family")
+        out.append(pt)
     return tuple(out)

@@ -12,6 +12,7 @@ from pcflab.intervals import (
     decimal_str,
     elem_interval,
     interval_decimal_str,
+    interval_g6_str,
     log10_interval,
     sqrt_interval,
     value_interval,
@@ -126,6 +127,20 @@ def test_interval_decimal_str_guards_width():
     assert interval_decimal_str(value_interval(W, 12), 8) == "1.41421356"
     with pytest.raises(ArithmeticError):
         interval_decimal_str(Interval(Fraction(0), Fraction(1)), 4)
+
+
+def test_interval_g6_str_certifies_or_declines():
+    assert interval_g6_str(value_interval(W, 12)) == "1.41421"
+    assert interval_g6_str(Interval(0)) == "0"
+    assert interval_g6_str(Interval(Fraction(-1, 4 * 10 ** 6))) == "-2.5e-07"
+    assert interval_g6_str(Interval(Fraction(1, 10 ** 4))) == "0.0001"
+    # exact ties round half to even, as float formatting does
+    assert interval_g6_str(Interval(1234565)) == "1.23456e+06"
+    assert interval_g6_str(Interval(Fraction(1999999, 2))) == "1e+06"
+    # an enclosure across a rounding boundary certifies no sixth digit
+    tie = Fraction(1234565, 10 ** 6)
+    assert interval_g6_str(Interval(tie - Fraction(1, 10 ** 9), tie + Fraction(1, 10 ** 9))) is None
+    assert interval_g6_str(Interval(-1, 1)) is None
 
 
 def test_abs_and_mid():

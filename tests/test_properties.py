@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import _expanding_fixed_point, log10_reference
 from pcflab.continuant import INF, Mat2
 from pcflab.converge import LOXODROMIC, _mobius_case, classify_mobius, verdict
-from pcflab.intervals import Interval, log10_interval
+from pcflab.intervals import Interval, interval_g6_str, log10_interval
 from pcflab.pcf import (
     Pcf,
     QuadPoly,
@@ -304,6 +304,26 @@ positive_intervals = st.builds(
     st.one_of(spread, near_one),
     st.one_of(st.just(Fraction(0)), st.integers(5, 100).map(lambda r: Fraction(1, 10 ** r))),
 )
+
+
+# mantissas up to 9 never round up to the next power of ten
+g6_mantissas = st.fractions(1, 9, max_denominator=10 ** 9)
+g6_exponents = st.one_of(st.integers(-4, 5), st.integers(-12, -5), st.integers(6, 12))
+
+
+@DERANDOMIZED
+@given(g6_mantissas, g6_exponents, st.sampled_from((1, -1)))
+def test_interval_g6_str_matches_float_formatting(m, k, sign):
+    q = sign * m * Fraction(10) ** k
+    want = format(float(q), ".6g")
+    # away from a rounding boundary the float's own rounding moves no digit
+    nudge = Fraction(1, 10 ** 9)
+    assume(format(float(q * (1 + nudge)), ".6g") == format(float(q * (1 - nudge)), ".6g"))
+    assert interval_g6_str(Interval(q)) == want
+    eps = abs(q) / 10 ** 12
+    assert interval_g6_str(Interval(q - eps, q + eps)) == want
+    # fixed notation for 1e-4 <= |q| < 1e6, exponent notation outside
+    assert ("e" in want) == (not -4 <= k < 6)
 
 
 def mp_log10_brackets(q: Fraction, lo: Fraction, hi: Fraction, digits: int) -> bool:

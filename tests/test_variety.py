@@ -186,19 +186,27 @@ def test_correspondence_round_trip():
     ab = corr03_12(*z)
     assert ab == (parse_elem("-4+3*w"), parse_elem("-10-7*w"))
     back = corr12_03(*ab)
-    assert len(back) == 4
+    assert len(back) == 2
     assert z in back
     for t in back:
         assert is_member(TSW, Pcf((), t))
+        assert corr03_12(*t) == ab
 
 
 def test_correspondence_all_table_points():
+    fibres = {}
     for p in sixteen_points():
         ab = corr03_12(*p)
         back = corr12_03(*ab)
         assert p in back
         for t in back:
             assert is_member(TSW, Pcf((), t))
+            assert corr03_12(*t) == ab
+        fibres[ab] = back
+    # eight image points, and their fibres split the sixteen points
+    assert len(fibres) == 8
+    union = [t for back in fibres.values() for t in back]
+    assert len(union) == 16 and set(union) == set(sixteen_points())
 
 
 def test_pcf_round_trip_through_tables():
